@@ -14,143 +14,19 @@ JSON datasets, grading every recorded value (:mod:`blowdown.constructions`).
 
 __version__ = "0.1.0"
 
-from .lattice import (
-    BlowupStep,
-    DivisorClass,
-    Expectation,
-    ExpectationError,
-    Script,
-    SurfaceModel,
-    blow_up,
-    check_expectations,
-    intersect,
-    iter_models,
-    load_script,
-    new_plane,
-    parse_script,
-    run_script,
-)
-from .tchains import (
-    ClassTResult,
-    chain_determinant,
-    classify_chain,
-    continuants,
-    extend_left,
-    extend_right,
-    general_params,
-    generate_class_t,
-    hj_expand,
-    hj_value,
-    is_class_t,
-    wahl_params,
-)
-from .contraction import (
-    ArtinCertificate,
-    ChainCertificate,
-    ChainEmbedding,
-    ContractionError,
-    chain_discrepancies,
-    chain_shape,
-    check_artin,
-    contracted_k_squared,
-    expand_in_curves,
-    k_squared_gain,
-    nef_values,
-    pullback_canonical,
-    validate_embedding,
-)
-from .topology import (
-    ConnectionGraph,
-    GraphEdge,
-    GraphNode,
-    Pi1Result,
-    SurfaceSummary,
-    blowdown_invariants,
-    fingerprint,
-    load_graph,
-    meridian_powers,
-    parse_graph,
-    pi1_closure,
-    rational_ball_invariants,
-    rationality_exclusion,
-)
-from .constructions import (
-    BUILTIN_NAMES,
-    DATA_ENV,
-    CheckResult,
-    Construction,
-    VerifyReport,
-    available_constructions,
-    build_model,
-    load_construction,
-    parse_construction,
-    pullback_expansion,
-    verify,
-)
+from . import constructions, contraction, lattice, tchains, topology
+from .constructions import *  # noqa: F401,F403
+from .contraction import *  # noqa: F401,F403
+from .lattice import *  # noqa: F401,F403
+from .tchains import *  # noqa: F401,F403
+from .topology import *  # noqa: F401,F403
 
+# The public names are each module's own ``__all__``.
 __all__ = [
     "__version__",
-    "BlowupStep",
-    "DivisorClass",
-    "Expectation",
-    "ExpectationError",
-    "Script",
-    "SurfaceModel",
-    "blow_up",
-    "check_expectations",
-    "intersect",
-    "iter_models",
-    "load_script",
-    "new_plane",
-    "parse_script",
-    "run_script",
-    "ClassTResult",
-    "chain_determinant",
-    "classify_chain",
-    "continuants",
-    "extend_left",
-    "extend_right",
-    "general_params",
-    "generate_class_t",
-    "hj_expand",
-    "hj_value",
-    "is_class_t",
-    "wahl_params",
-    "ArtinCertificate",
-    "ChainCertificate",
-    "ChainEmbedding",
-    "ContractionError",
-    "chain_discrepancies",
-    "chain_shape",
-    "check_artin",
-    "contracted_k_squared",
-    "expand_in_curves",
-    "k_squared_gain",
-    "nef_values",
-    "pullback_canonical",
-    "pullback_expansion",
-    "validate_embedding",
-    "ConnectionGraph",
-    "GraphEdge",
-    "GraphNode",
-    "Pi1Result",
-    "SurfaceSummary",
-    "blowdown_invariants",
-    "fingerprint",
-    "load_graph",
-    "meridian_powers",
-    "parse_graph",
-    "pi1_closure",
-    "rational_ball_invariants",
-    "rationality_exclusion",
-    "BUILTIN_NAMES",
-    "DATA_ENV",
-    "CheckResult",
-    "Construction",
-    "VerifyReport",
-    "available_constructions",
-    "build_model",
-    "load_construction",
-    "parse_construction",
-    "verify",
+    *lattice.__all__,
+    *tchains.__all__,
+    *contraction.__all__,
+    *topology.__all__,
+    *constructions.__all__,
 ]

@@ -11,6 +11,7 @@ contract), 2 for usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -18,22 +19,13 @@ from math import gcd
 from typing import Sequence, Union
 
 from . import __version__
-from .contraction import (
-    ChainEmbedding,
-    ContractionError,
-    chain_discrepancies,
-    nef_values,
-    pullback_canonical,
-    validate_embedding,
-)
+from .contraction import chain_discrepancies, nef_values
 from .constructions import (
+    STAGE_ERRORS,
+    Replay,
     available_constructions,
-    build_model,
     load_construction,
-    pullback_expansion,
-    verify,
 )
-from .lattice import ExpectationError
 from .tchains import (
     classify_chain,
     general_params,
@@ -41,13 +33,7 @@ from .tchains import (
     hj_expand,
     wahl_params,
 )
-from .topology import (
-    blowdown_invariants,
-    load_graph,
-    meridian_powers,
-    pi1_closure,
-    rationality_exclusion,
-)
+from .topology import meridian_powers, pi1_closure, rationality_exclusion
 
 __all__ = ["main"]
 
@@ -202,39 +188,46 @@ def _cmd_tchain_check(args) -> int:
     return 0
 
 
-def _cmd_contract(args) -> int:
-    source = _resolve_source(args)
-    if source is None:
-        return 2
-    try:
-        construction = load_construction(source)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    model = build_model(construction)
-    try:
-        chains = []
-        for emb in construction.chains:
-            bs = validate_embedding(model, emb)
-            ds = chain_discrepancies(bs)
-            chains.append((emb, bs, ds))
-        pullback = pullback_canonical(model, construction.chains)
-        nef = nef_values(
-            model, construction.chains, construction.nef_test_curves
-        )
-    except ContractionError as exc:
-        print(f"contraction fails: {exc}", file=sys.stderr)
-        return 1
+def _dataset_command(run, failure: str):
+    """A subcommand that reads one construction through a :class:`Replay`.
+
+    Usage and input errors exit 2; a stage of the replay that fails ends
+    the command with ``failure`` and exit 1.
+    """
+
+    def handler(args) -> int:
+        source = _resolve_source(args)
+        if source is None:
+            return 2
+        try:
+            replay = Replay(load_construction(source))
+        except (FileNotFoundError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        try:
+            return run(args, replay)
+        except STAGE_ERRORS as exc:
+            print(f"{failure}: {exc}", file=sys.stderr)
+            return 1
+
+    return handler
+
+
+def _cmd_contract(args, replay: Replay) -> int:
+    construction, model = replay.construction, replay.model
+    chains = list(zip(construction.chains, replay.shapes, replay.discrepancies))
+    pullback = replay.pullback
+    nef = nef_values(
+        model, construction.chains, construction.nef_test_curves, pullback
+    )
     k2 = pullback.dot(pullback)
     k2_res = model.canonical_self_intersection()
     expansion: Union[dict, None]
     try:
         expansion = {
-            name: value
-            for name, value in pullback_expansion(construction, model).items()
-            if value
+            name: value for name, value in replay.coefficients.items() if value
         }
-    except (ValueError, ContractionError):
+    except ValueError:
         expansion = None
     if args.json or args.report == "json":
         result = {
@@ -277,26 +270,9 @@ def _cmd_contract(args) -> int:
     return 0
 
 
-def _cmd_invariants(args) -> int:
-    source = _resolve_source(args)
-    if source is None:
-        return 2
-    try:
-        construction = load_construction(source)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    model = build_model(construction)
-    try:
-        summary = blowdown_invariants(
-            model,
-            construction.chains,
-            graph=construction.graph,
-            parity_override=construction.parity_override,
-        )
-    except (ContractionError, ValueError) as exc:
-        print(f"invariants unavailable: {exc}", file=sys.stderr)
-        return 1
+def _cmd_invariants(args, replay: Replay) -> int:
+    construction = replay.construction
+    summary = replay.summary
     excluded, plurigenus = rationality_exclusion(summary.k_squared, summary.chi)
     if args.json:
         _emit_json(
@@ -397,16 +373,9 @@ def _cmd_pi1(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    source = _resolve_source(args)
-    if source is None:
-        return 2
-    try:
-        construction = load_construction(source)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = verify(construction)
+def _cmd_verify(args, replay: Replay) -> int:
+    construction = replay.construction
+    report = replay.verify()
     if args.json:
         _emit_json("verify", construction.sha256, report.as_dict())
         return 0 if report.ok else 1
@@ -484,7 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--report", choices=("text", "json"), default="text"
     )
     contract.add_argument("--json", action="store_true")
-    contract.set_defaults(handler=_cmd_contract)
+    contract.set_defaults(
+        handler=_dataset_command(_cmd_contract, "contraction fails")
+    )
 
     invariants = sub.add_parser(
         "invariants", help="invariants of the blown-down surface"
@@ -492,7 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     invariants.add_argument("construction", nargs="?")
     invariants.add_argument("--dataset", help="path to a construction JSON file")
     invariants.add_argument("--json", action="store_true")
-    invariants.set_defaults(handler=_cmd_invariants)
+    invariants.set_defaults(
+        handler=_dataset_command(_cmd_invariants, "invariants unavailable")
+    )
 
     pi1 = sub.add_parser(
         "pi1", help="run the fundamental group closure on a connection graph"
@@ -512,7 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify_cmd.add_argument("construction", nargs="?")
     verify_cmd.add_argument("--dataset", help="path to a construction JSON file")
     verify_cmd.add_argument("--json", action="store_true")
-    verify_cmd.set_defaults(handler=_cmd_verify)
+    verify_cmd.set_defaults(
+        handler=_dataset_command(_cmd_verify, "verification fails")
+    )
 
     list_cmd = sub.add_parser("list", help="list available constructions")
     list_cmd.add_argument("--json", action="store_true")
@@ -521,17 +496,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing does not change it."""
+    return build_parser()
+
+
 def main(argv: Union[Sequence[str], None] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
-    except ExpectationError as exc:
-        print(f"expectation failed: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"malformed JSON input: {exc}", file=sys.stderr)
-        return 2
+    args = _parser().parse_args(argv)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -4,10 +4,11 @@ Each construction ships as a JSON dataset: a blow-up script with recorded
 intersection checkpoints, the chains to contract, a connection graph for
 the fundamental group argument, and the numerical values recorded in the
 cited source, together with a correction table for the few recorded values
-that fail exact recomputation.  The verifier replays everything with exact
-arithmetic and grades each check ``pass``, ``erratum`` (recorded value
-wrong, recorded correction confirmed) or ``fail``.  Failure messages always
-carry the dataset's citation string.
+that fail exact recomputation.  A :class:`Replay` runs the blow-up script
+once and computes each later stage at most once; ``verify``, ``contract``
+and ``invariants`` all read it.  The verifier grades each check ``pass``,
+``erratum`` (recorded value wrong, recorded correction confirmed) or
+``fail``.  Failure messages always carry the dataset's citation string.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 from .contraction import (
     ChainEmbedding,
@@ -26,12 +28,12 @@ from .contraction import (
     chain_discrepancies,
     check_artin,
     expand_in_curves,
+    k_squared_gain,
     nef_values,
     pullback_canonical,
     validate_embedding,
 )
 from .lattice import (
-    DivisorClass,
     Script,
     SurfaceModel,
     check_expectations,
@@ -51,9 +53,11 @@ from .topology import (
 __all__ = [
     "DATA_ENV",
     "BUILTIN_NAMES",
+    "STAGE_ERRORS",
     "Construction",
     "CheckResult",
     "VerifyReport",
+    "Replay",
     "data_dir",
     "available_constructions",
     "parse_construction",
@@ -126,23 +130,74 @@ def _split_expected(raw: Mapping) -> tuple[dict, dict]:
     return expected, cites
 
 
+_KINDS = {Mapping: "an object", list: "an array", int: "an integer", str: "a string"}
+_TABLES = (
+    "discrepancies", "canonical_relation", "fiber_relation", "pullback_fiber_weights",
+    "pullback_coefficients", "nef_values", "nef_negative_pairings",
+)
+
+
+def _typed(value, kind: type, path: str):
+    """``value``, checked to be of a JSON kind; errors name its field path."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{path} must be {_KINDS[kind]}")
+    return value
+
+
+def _parse_chains(raw) -> tuple[ChainEmbedding, ...]:
+    chains = []
+    for i, entry in enumerate(_typed(raw, list, "chains")):
+        path = f"chains[{i}]"
+        curves = _typed(_typed(entry, Mapping, path).get("curves"), list,
+                        f"{path}.curves")
+        chains.append(ChainEmbedding(
+            p=_typed(entry.get("p"), int, f"{path}.p"),
+            q=_typed(entry.get("q"), int, f"{path}.q"),
+            curves=tuple(_typed(name, str, f"{path}.curves[{j}]")
+                         for j, name in enumerate(curves)),
+        ))
+    return tuple(chains)
+
+
+def _parse_section(path: str, parse, raw):
+    """Run a section parser, naming the section on a malformed entry."""
+    try:
+        return parse(raw)
+    except (KeyError, TypeError, AttributeError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ValueError(f"{path}: malformed entry ({detail})") from None
+
+
 def parse_construction(
     data: Mapping, *, source_path: str = "", sha256: str = ""
 ) -> Construction:
-    script = parse_script(data)
-    chains = tuple(
-        ChainEmbedding(
-            p=int(c["p"]), q=int(c["q"]), curves=tuple(str(n) for n in c["curves"])
-        )
-        for c in data.get("chains", ())
+    """Build a :class:`Construction` from its JSON object form.
+
+    Malformed input raises ``ValueError`` naming the offending field.
+    """
+    _typed(data, Mapping, "a construction dataset")
+    for key in ("expected", "errata", "fiber_expansions"):
+        _typed(data.get(key, {}), Mapping, key)
+    script = _parse_section("script", parse_script, data)
+    chains = _parse_chains(data.get("chains", []))
+    graph = (
+        _parse_section("graph", parse_graph, data["graph"])
+        if data.get("graph")
+        else None
     )
-    graph = parse_graph(data["graph"]) if data.get("graph") else None
     base_step = data.get("base_surface_step")
-    fibers = tuple(
+    if base_step is not None:
+        _typed(base_step, int, "base_surface_step")
+    fibers = _parse_section("fiber_expansions", lambda raw: tuple(
         (str(name), tuple(str(c) for c in support))
-        for name, support in data.get("fiber_expansions", {}).items()
-    )
+        for name, support in raw.items()
+    ), data.get("fiber_expansions", {}))
     expected, expected_cites = _split_expected(data.get("expected", {}))
+    errata = data.get("errata", {})
+    for section, tables in (("expected", expected), ("errata", errata)):
+        for key in _TABLES:
+            if key in tables:
+                _typed(tables[key], Mapping, f"{section}.{key}")
     return Construction(
         name=str(data.get("name", source_path or "construction")),
         title=str(data.get("title", "")),
@@ -150,14 +205,14 @@ def parse_construction(
         script=script,
         chains=chains,
         graph=graph,
-        base_surface_step=int(base_step) if base_step is not None else None,
+        base_surface_step=base_step,
         fiber_expansions=fibers,
         nef_test_curves=tuple(
             str(n) for n in data.get("nef_test_curves", ())
         ),
         parity_override=data.get("parity_override"),
         expected=expected,
-        errata=data.get("errata", {}),
+        errata=errata,
         expected_cites=expected_cites,
         source_path=source_path,
         sha256=sha256,
@@ -287,17 +342,163 @@ def _compare_tables(
     return status, details
 
 
-def _base_canonical(
-    construction: Construction, model: SurfaceModel
-) -> DivisorClass:
-    assert construction.base_surface_step is not None
-    for step, intermediate in iter_models(construction.script):
-        if step == construction.base_surface_step:
-            return intermediate.canonical.padded(model.lattice_rank)
-    raise ValueError(
-        f"base_surface_step {construction.base_surface_step} "
-        "beyond the end of the script"
-    )
+STAGE_ERRORS = (ContractionError, ValueError, KeyError, AssertionError)
+"""What a stage of a replay may raise; a check depending on it then fails."""
+
+
+class Replay:
+    """One replay of a construction, shared by everything that reads it.
+
+    The blow-up script runs once, grading the recorded checkpoints on the
+    way, unless a finished ``model`` is passed in.  Each later stage is
+    computed on first use and kept for the life of the object, which is a
+    single command.  A stage that raises is not kept: it raises the same
+    exception again at the next use, so every check that depends on it
+    fails with the same message.
+    """
+
+    def __init__(
+        self, construction: Construction, model: Union[SurfaceModel, None] = None
+    ) -> None:
+        self.construction = construction
+        if model is None:
+            model = self._replay_script()
+        self.model = model
+
+    def _replay_script(self) -> SurfaceModel:
+        script = self.construction.script
+        by_step = script.checkpoints()
+        graded: Union[list, None] = []
+        for step, model in iter_models(script):
+            if graded is not None:
+                try:
+                    graded.extend(exp.grade(model) for exp in by_step.get(step, ()))
+                except STAGE_ERRORS:
+                    graded = None
+        if graded is not None:
+            self.checkpoints = graded
+        return model
+
+    @cached_property
+    def checkpoints(self):
+        """``(expectation, computed, ok)`` for every recorded checkpoint;
+        the replay fills it in unless a checkpoint raised."""
+        return check_expectations(self.construction.script)
+
+    @cached_property
+    def shapes(self):
+        """The validated shape of each chain."""
+        return tuple(
+            validate_embedding(self.model, emb)
+            for emb in self.construction.chains
+        )
+
+    @cached_property
+    def discrepancies(self):
+        return tuple(chain_discrepancies(bs) for bs in self.shapes)
+
+    @cached_property
+    def pullback(self):
+        """The pullback of the contracted surface's canonical class."""
+        return pullback_canonical(
+            self.model, self.construction.chains, self.shapes
+        )
+
+    @cached_property
+    def relation(self):
+        """``K`` minus the base surface's ``K``, expanded over the recorded
+        canonical relation support."""
+        base_k = self.model.canonical_at(self.construction.base_surface_step)
+        support = list(self.construction.expected["canonical_relation"].keys())
+        return expand_in_curves(self.model, self.model.canonical - base_k, support)
+
+    @cached_property
+    def fibers(self):
+        """The fiber class, minus the base surface's ``K``, expanded over
+        each recorded fiber support."""
+        fiber_class = -self.model.canonical_at(self.construction.base_surface_step)
+        return {
+            name: expand_in_curves(self.model, fiber_class, list(support))
+            for name, support in self.construction.fiber_expansions
+        }
+
+    @cached_property
+    def coefficients(self):
+        """See :func:`pullback_expansion`."""
+        construction = self.construction
+        expected = construction.expected
+        if (
+            construction.base_surface_step is None
+            or not construction.fiber_expansions
+            or "pullback_fiber_weights" not in expected
+            or "canonical_relation" not in expected
+        ):
+            raise ValueError(
+                "dataset does not record the fiber decomposition needed to "
+                "expand the pullback over curve classes"
+            )
+        weights = _frac_table(expected["pullback_fiber_weights"])
+        coefficients: dict[str, Fraction] = {}
+
+        def accumulate(name: str, value: Fraction) -> None:
+            coefficients[name] = coefficients.get(name, Fraction(0)) + value
+
+        for fiber_name, expansion in self.fibers.items():
+            for curve, coeff in expansion.items():
+                accumulate(curve, weights[fiber_name] * coeff)
+        for curve, coeff in self.relation.items():
+            accumulate(curve, coeff)
+        for emb, ds in zip(construction.chains, self.discrepancies):
+            for curve, d in zip(emb.curves, ds):
+                accumulate(curve, d)
+        return coefficients
+
+    @cached_property
+    def summary(self):
+        """Invariants of the blown-down surface."""
+        construction = self.construction
+        return blowdown_invariants(
+            self.model,
+            construction.chains,
+            graph=construction.graph,
+            parity_override=construction.parity_override,
+            pullback=self.pullback,
+        )
+
+    @cached_property
+    def pi1(self):
+        return pi1_closure(self.construction.graph)
+
+    def verify(self) -> VerifyReport:
+        """Grade every recorded claim about the construction.
+
+        The checks run in a fixed order, from the raw blow-up bookkeeping
+        out to the final homeomorphism fingerprint, so a failure early in
+        the list explains the failures after it.
+        """
+        construction = self.construction
+        return VerifyReport(
+            construction=construction.name,
+            checks=tuple(
+                self._graded(name, check, cite_key)
+                for name, check, cite_key, applies in _CHECKS
+                if applies(construction)
+            ),
+        )
+
+    def _graded(self, name: str, check, cite_key: str) -> CheckResult:
+        construction = self.construction
+        try:
+            status, details = check(self)
+        except STAGE_ERRORS as exc:
+            status, details = "fail", [str(exc)]
+        lines = list(details)
+        cite = str(construction.expected_cites.get(cite_key, "")) if cite_key else ""
+        if status != "pass" and cite:
+            lines.append(f"recorded at: {cite}")
+        if status == "fail" and construction.citation:
+            lines.append(f"source: {construction.citation}")
+        return CheckResult(name=name, status=status, details=tuple(lines))
 
 
 def pullback_expansion(
@@ -313,508 +514,437 @@ def pullback_expansion(
     records ``base_surface_step``, ``fiber_expansions``, and the
     ``pullback_fiber_weights`` and ``canonical_relation`` tables.
     """
-    expected = construction.expected
-    if (
-        construction.base_surface_step is None
-        or not construction.fiber_expansions
-        or "pullback_fiber_weights" not in expected
-        or "canonical_relation" not in expected
-    ):
-        raise ValueError(
-            "dataset does not record the fiber decomposition needed to "
-            "expand the pullback over curve classes"
-        )
-    weights = _frac_table(expected["pullback_fiber_weights"])
-    fiber_class = -_base_canonical(construction, model)
-    coefficients: dict[str, Fraction] = {}
-
-    def accumulate(name: str, value: Fraction) -> None:
-        coefficients[name] = coefficients.get(name, Fraction(0)) + value
-
-    for fiber_name, support in construction.fiber_expansions:
-        expansion = expand_in_curves(model, fiber_class, list(support))
-        for curve, coeff in expansion.items():
-            accumulate(curve, weights[fiber_name] * coeff)
-    base_k = _base_canonical(construction, model)
-    relation_support = list(expected["canonical_relation"].keys())
-    relation = expand_in_curves(
-        model, model.canonical - base_k, relation_support
-    )
-    for curve, coeff in relation.items():
-        accumulate(curve, coeff)
-    for emb in construction.chains:
-        bs = validate_embedding(model, emb)
-        for curve, d in zip(emb.curves, chain_discrepancies(bs)):
-            accumulate(curve, d)
-    return coefficients
+    return Replay(construction, model).coefficients
 
 
 def verify(construction: Construction) -> VerifyReport:
-    """Replay a construction and grade every recorded claim about it.
+    """Replay a construction and grade every recorded claim about it."""
+    return Replay(construction).verify()
 
-    The checks run in a fixed order, from the raw blow-up bookkeeping out
-    to the final homeomorphism fingerprint, so a failure early in the list
-    explains the failures after it.
-    """
-    checks: list[CheckResult] = []
 
-    def add(
-        name: str, status: str, details: Sequence[str], cite: str = ""
-    ) -> None:
-        lines = list(details)
-        if status != "pass" and cite:
-            lines.append(f"recorded at: {cite}")
-        if status == "fail" and construction.citation:
-            lines.append(f"source: {construction.citation}")
-        checks.append(CheckResult(name=name, status=status, details=tuple(lines)))
+def _merge(status: str, sub_status: str) -> str:
+    if sub_status == "fail":
+        return "fail"
+    if sub_status == "erratum" and status == "pass":
+        return "erratum"
+    return status
 
-    def guarded(name: str, runner, cite_key: str = "") -> None:
-        cite = (
-            str(construction.expected_cites.get(cite_key, ""))
-            if cite_key
-            else ""
-        )
-        try:
-            status, details = runner()
-        except (ContractionError, ValueError, KeyError, AssertionError) as exc:
-            status, details = "fail", [str(exc)]
-        add(name, status, details, cite=cite)
 
-    model = build_model(construction)
-    expected = construction.expected
-    errata = construction.errata
+def _script_check(replay: Replay):
+    results = replay.checkpoints
+    failures = [
+        f"after step {exp.after_step}: {exp.describe()} recorded "
+        f"{exp.expected_value()}, computed {actual} [{exp.cite}]"
+        for exp, actual, ok in results
+        if not ok
+    ]
+    details = [
+        f"{len(results) - len(failures)} of {len(results)} recorded "
+        "intersection numbers reproduced"
+    ] + failures
+    return ("pass" if not failures else "fail"), details
 
-    def script_check():
-        results = check_expectations(construction.script)
-        failures = [
-            f"after step {exp.after_step}: {exp.describe()} recorded "
-            f"{exp.expected_value()}, computed {actual} [{exp.cite}]"
-            for exp, actual, ok in results
-            if not ok
-        ]
-        details = [
-            f"{len(results) - len(failures)} of {len(results)} recorded "
-            "intersection numbers reproduced"
-        ] + failures
-        return ("pass" if not failures else "fail"), details
 
-    guarded("script_expectations", script_check)
-
-    def shapes_check():
-        details = []
-        status = "pass"
-        for emb in construction.chains:
-            bs = validate_embedding(model, emb)
-            p, q = wahl_params(bs)
-            if (p, q) != (emb.p, emb.q):
-                status = "fail"
-                details.append(
-                    f"{emb.label}: shape {bs} recovers (p, q) = ({p}, {q})"
-                )
-                continue
-            fraction = Fraction(emb.p * emb.p, emb.p * emb.q - 1)
+def _shapes_check(replay: Replay):
+    details = []
+    status = "pass"
+    for emb, bs in zip(replay.construction.chains, replay.shapes):
+        p, q = wahl_params(bs)
+        if (p, q) != (emb.p, emb.q):
+            status = "fail"
             details.append(
-                f"{emb.label}: shape {list(bs)} matches {fraction.numerator}/"
-                f"{fraction.denominator}, determinant {emb.p * emb.p}"
+                f"{emb.label}: shape {bs} recovers (p, q) = ({p}, {q})"
             )
-        return status, details
-
-    guarded("chain_shapes", shapes_check)
-
-    def artin_check():
-        cert = check_artin(model, construction.chains)
-        details = []
-        for chain_cert in cert.chains:
-            minors = ", ".join(str(m) for m in chain_cert.minors)
-            details.append(
-                f"{chain_cert.label}: leading minors {minors}; "
-                + (
-                    "signs alternate, negative definite"
-                    if chain_cert.negative_definite
-                    else "signs do not alternate"
-                )
-            )
-        for a_label, a, b_label, b, value in cert.cross_violations:
-            details.append(
-                f"{a_label} curve {a} meets {b_label} curve {b}: {value}"
-            )
-        return ("pass" if cert.ok else "fail"), details
-
-    guarded("artin_contractibility", artin_check)
-
-    def discrepancy_check():
-        status = "pass"
-        details = []
-        recorded_tables = expected.get("discrepancies", {})
-        for emb in construction.chains:
-            bs = validate_embedding(model, emb)
-            ds = chain_discrepancies(bs)
-            if not all(0 < d < 1 for d in ds):
-                status = "fail"
-                details.append(
-                    f"{emb.label}: discrepancies {list(map(str, ds))} "
-                    "leave the open interval (0, 1)"
-                )
-                continue
-            gain = sum((d * (b - 2) for d, b in zip(ds, bs)), Fraction(0))
-            if gain != len(bs):
-                status = "fail"
-                details.append(
-                    f"{emb.label}: sum of d_i (b_i - 2) is {gain}, "
-                    f"expected the chain length {len(bs)}"
-                )
-                continue
-            line = f"{emb.label}: ({', '.join(str(d) for d in ds)})"
-            if emb.label in recorded_tables:
-                recorded = [_frac(v) for v in recorded_tables[emb.label]]
-                if tuple(recorded) != ds:
-                    status = "fail"
-                    line += (
-                        "; recorded values "
-                        f"({', '.join(str(d) for d in recorded)}) differ"
-                    )
-                else:
-                    line += "; matches the recorded values"
-            details.append(line)
-        return status, details
-
-    guarded("discrepancies", discrepancy_check, cite_key="discrepancies")
-
-    def adjunction_check():
-        details = []
-        status = "pass"
-        for emb in construction.chains:
-            bs = validate_embedding(model, emb)
-            for name, b in zip(emb.curves, bs):
-                pairing = model.intersect(model.canonical, name)
-                if pairing != b - 2:
-                    status = "fail"
-                    details.append(
-                        f"{emb.label}: K . {name} = {pairing}, expected {b - 2}"
-                    )
-        count = sum(len(emb.curves) for emb in construction.chains)
-        details.insert(0, f"K . G = b - 2 on all {count} chain curves"
-                       if status == "pass" else "adjunction violated")
-        return status, details
-
-    guarded("adjunction", adjunction_check)
-
-    def orthogonality_check():
-        pullback = pullback_canonical(model, construction.chains)
-        bad = []
-        for emb in construction.chains:
-            for name in emb.curves:
-                value = pullback.dot(model.curve(name))
-                if value != 0:
-                    bad.append(f"pullback . {name} = {value}")
-        details = ["pullback canonical class is orthogonal to every "
-                   "contracted curve"] if not bad else bad
-        return ("pass" if not bad else "fail"), details
-
-    guarded("orthogonality", orthogonality_check)
-
-    def k_squared_check():
-        status = "pass"
-        details = []
-        pullback = pullback_canonical(model, construction.chains)
-        k2 = pullback.dot(pullback)
-        k2_res = model.canonical_self_intersection()
-        total_length = sum(len(emb.curves) for emb in construction.chains)
+            continue
+        fraction = Fraction(emb.p * emb.p, emb.p * emb.q - 1)
         details.append(
-            f"K^2 rises from {k2_res} to {k2} across {total_length} "
-            "contracted curves"
+            f"{emb.label}: shape {list(bs)} matches {fraction.numerator}/"
+            f"{fraction.denominator}, determinant {emb.p * emb.p}"
         )
-        if k2 - k2_res != total_length:
+    return status, details
+
+
+def _artin_check(replay: Replay):
+    cert = check_artin(replay.model, replay.construction.chains)
+    details = []
+    for chain_cert in cert.chains:
+        minors = ", ".join(str(m) for m in chain_cert.minors)
+        details.append(
+            f"{chain_cert.label}: leading minors {minors}; "
+            + (
+                "signs alternate, negative definite"
+                if chain_cert.negative_definite
+                else "signs do not alternate"
+            )
+        )
+    for a_label, a, b_label, b, value in cert.cross_violations:
+        details.append(
+            f"{a_label} curve {a} meets {b_label} curve {b}: {value}"
+        )
+    return ("pass" if cert.ok else "fail"), details
+
+
+def _discrepancy_check(replay: Replay):
+    construction = replay.construction
+    status = "pass"
+    details = []
+    recorded_tables = construction.expected.get("discrepancies", {})
+    for emb, bs, ds in zip(construction.chains, replay.shapes, replay.discrepancies):
+        if not all(0 < d < 1 for d in ds):
             status = "fail"
             details.append(
-                f"gain {k2 - k2_res} differs from total chain length "
-                f"{total_length}"
+                f"{emb.label}: discrepancies {list(map(str, ds))} "
+                "leave the open interval (0, 1)"
             )
-        if "k_squared_resolution" in expected and k2_res != _frac(
-            expected["k_squared_resolution"]
-        ):
+            continue
+        gain = k_squared_gain(bs)
+        if gain != len(bs):
             status = "fail"
             details.append(
-                f"resolution K^2 = {k2_res}, recorded "
-                f"{expected['k_squared_resolution']}"
+                f"{emb.label}: sum of d_i (b_i - 2) is {gain}, "
+                f"expected the chain length {len(bs)}"
             )
-        if "k_squared" in expected and k2 != _frac(expected["k_squared"]):
-            status = "fail"
-            details.append(
-                f"contracted K^2 = {k2}, recorded {expected['k_squared']}"
-            )
-        return status, details
-
-    guarded("k_squared", k_squared_check, cite_key="k_squared")
-
-    if construction.base_surface_step is not None and "canonical_relation" in expected:
-
-        def canonical_relation_check():
-            base_k = _base_canonical(construction, model)
-            target = model.canonical - base_k
-            printed = _frac_table(expected["canonical_relation"])
-            computed = expand_in_curves(model, target, list(printed.keys()))
-            corrections = _frac_table(errata.get("canonical_relation", {}))
-            return _compare_tables(
-                "canonical_relation", printed, computed, corrections
-            )
-
-        guarded("canonical_relation", canonical_relation_check,
-                cite_key="canonical_relation")
-
-    if construction.fiber_expansions and "fiber_relation" in expected:
-
-        def fiber_relation_check():
-            fiber_class = -_base_canonical(construction, model)
-            status = "pass"
-            details: list[str] = []
-            for fiber_name, support in construction.fiber_expansions:
-                printed = _frac_table(expected["fiber_relation"][fiber_name])
-                computed = expand_in_curves(model, fiber_class, list(support))
-                corrections = _frac_table(
-                    errata.get("fiber_relation", {}).get(fiber_name, {})
-                )
-                sub_status, sub_details = _compare_tables(
-                    f"fiber {fiber_name}", printed, computed, corrections
-                )
-                if sub_status == "fail":
-                    status = "fail"
-                elif sub_status == "erratum" and status == "pass":
-                    status = "erratum"
-                details.extend(sub_details)
-            return status, details
-
-        guarded("fiber_relation", fiber_relation_check, cite_key="fiber_relation")
-
-    if "pullback_coefficients" in expected:
-
-        def pullback_expansion_check():
-            coefficients = pullback_expansion(construction, model)
-            assembled = model.canonical * 0
-            for curve, coeff in coefficients.items():
-                assembled = assembled + coeff * model.curve(curve)
-            pullback = pullback_canonical(model, construction.chains)
-            computed = {
-                curve: coeff for curve, coeff in coefficients.items() if coeff
-            }
-            printed = _frac_table(expected["pullback_coefficients"])
-            corrections = _frac_table(errata.get("pullback_coefficients", {}))
-            status, details = _compare_tables(
-                "pullback", printed, computed, corrections
-            )
-            if assembled != pullback:
+            continue
+        line = f"{emb.label}: ({', '.join(str(d) for d in ds)})"
+        if emb.label in recorded_tables:
+            recorded = [_frac(v) for v in recorded_tables[emb.label]]
+            if tuple(recorded) != ds:
                 status = "fail"
-                details.append(
-                    "assembled expansion does not reproduce the pullback class"
+                line += (
+                    "; recorded values "
+                    f"({', '.join(str(d) for d in recorded)}) differ"
                 )
             else:
-                details.append(
-                    "assembled expansion equals the pullback canonical class"
-                )
-            return status, details
+                line += "; matches the recorded values"
+        details.append(line)
+    return status, details
 
-        guarded("pullback_expansion", pullback_expansion_check,
-                cite_key="pullback_coefficients")
 
-    def nef_check():
-        values = nef_values(
-            model, construction.chains, construction.nef_test_curves
-        )
-        computed = dict(values)
-        status = "pass"
-        details = []
-        recorded_negative = _frac_table(
-            expected.get("nef_negative_pairings", {})
-        )
-        negative = 0
-        for name, value in values:
-            if value >= 0:
-                continue
-            negative += 1
-            if recorded_negative.get(name) == value:
-                if status == "pass":
-                    status = "erratum"
-                details.append(
-                    f"pullback . {name} = {value} < 0, matching the negative "
-                    "pairing recorded against the source's minimality claim"
-                )
-            else:
-                status = "fail"
-                details.append(f"pullback . {name} = {value} < 0")
-        for name in recorded_negative:
-            if name not in computed or computed[name] >= 0:
+def _adjunction_check(replay: Replay):
+    model, chains = replay.model, replay.construction.chains
+    details = []
+    status = "pass"
+    for emb, bs in zip(chains, replay.shapes):
+        for name, b in zip(emb.curves, bs):
+            pairing = model.intersect(model.canonical, name)
+            if pairing != b - 2:
                 status = "fail"
                 details.append(
-                    f"recorded negative pairing for {name} was not reproduced"
+                    f"{emb.label}: K . {name} = {pairing}, expected {b - 2}"
                 )
-        details.insert(
-            0,
-            f"pullback pairs nonnegatively with {len(values) - negative} "
-            f"of {len(values)} test curves",
+    count = sum(len(emb.curves) for emb in chains)
+    details.insert(0, f"K . G = b - 2 on all {count} chain curves"
+                   if status == "pass" else "adjunction violated")
+    return status, details
+
+
+def _orthogonality_check(replay: Replay):
+    # pullback_canonical asserts orthogonality to every contracted curve.
+    replay.pullback
+    return "pass", [
+        "pullback canonical class is orthogonal to every contracted curve"
+    ]
+
+
+def _k_squared_check(replay: Replay):
+    construction, model = replay.construction, replay.model
+    expected = construction.expected
+    status = "pass"
+    details = []
+    pullback = replay.pullback
+    k2 = pullback.dot(pullback)
+    k2_res = model.canonical_self_intersection()
+    total_length = sum(len(emb.curves) for emb in construction.chains)
+    details.append(
+        f"K^2 rises from {k2_res} to {k2} across {total_length} "
+        "contracted curves"
+    )
+    if k2 - k2_res != total_length:
+        status = "fail"
+        details.append(
+            f"gain {k2 - k2_res} differs from total chain length "
+            f"{total_length}"
         )
-        if "nef_values" in expected:
-            printed = _frac_table(expected["nef_values"])
-            corrections = _frac_table(errata.get("nef_values", {}))
-            sub_status, sub_details = _compare_tables(
-                "nef", printed, {k: v for k, v in computed.items() if k in printed},
-                corrections,
-            )
-            if sub_status == "fail":
-                status = "fail"
-            elif sub_status == "erratum" and status == "pass":
+    if "k_squared_resolution" in expected and k2_res != _frac(
+        expected["k_squared_resolution"]
+    ):
+        status = "fail"
+        details.append(
+            f"resolution K^2 = {k2_res}, recorded "
+            f"{expected['k_squared_resolution']}"
+        )
+    if "k_squared" in expected and k2 != _frac(expected["k_squared"]):
+        status = "fail"
+        details.append(
+            f"contracted K^2 = {k2}, recorded {expected['k_squared']}"
+        )
+    return status, details
+
+
+def _canonical_relation_check(replay: Replay):
+    construction = replay.construction
+    computed = replay.relation
+    printed = _frac_table(construction.expected["canonical_relation"])
+    corrections = _frac_table(construction.errata.get("canonical_relation", {}))
+    return _compare_tables("canonical_relation", printed, computed, corrections)
+
+
+def _fiber_relation_check(replay: Replay):
+    construction = replay.construction
+    fibers = replay.fibers
+    status = "pass"
+    details: list[str] = []
+    for fiber_name, _ in construction.fiber_expansions:
+        printed = _frac_table(construction.expected["fiber_relation"][fiber_name])
+        corrections = _frac_table(
+            construction.errata.get("fiber_relation", {}).get(fiber_name, {})
+        )
+        sub_status, sub_details = _compare_tables(
+            f"fiber {fiber_name}", printed, fibers[fiber_name], corrections
+        )
+        status = _merge(status, sub_status)
+        details.extend(sub_details)
+    return status, details
+
+
+def _pullback_expansion_check(replay: Replay):
+    construction, model = replay.construction, replay.model
+    coefficients = replay.coefficients
+    assembled = model.canonical * 0
+    for curve, coeff in coefficients.items():
+        assembled = assembled + coeff * model.curve(curve)
+    pullback = replay.pullback
+    computed = {
+        curve: coeff for curve, coeff in coefficients.items() if coeff
+    }
+    printed = _frac_table(construction.expected["pullback_coefficients"])
+    corrections = _frac_table(construction.errata.get("pullback_coefficients", {}))
+    status, details = _compare_tables("pullback", printed, computed, corrections)
+    if assembled != pullback:
+        status = "fail"
+        details.append(
+            "assembled expansion does not reproduce the pullback class"
+        )
+    else:
+        details.append(
+            "assembled expansion equals the pullback canonical class"
+        )
+    return status, details
+
+
+def _nef_check(replay: Replay):
+    construction, model = replay.construction, replay.model
+    expected, errata = construction.expected, construction.errata
+    pullback = replay.pullback
+    values = nef_values(
+        model, construction.chains, construction.nef_test_curves, pullback
+    )
+    computed = dict(values)
+    status = "pass"
+    details = []
+    recorded_negative = _frac_table(expected.get("nef_negative_pairings", {}))
+    negative = 0
+    for name, value in values:
+        if value >= 0:
+            continue
+        negative += 1
+        if recorded_negative.get(name) == value:
+            if status == "pass":
                 status = "erratum"
-            details.extend(sub_details)
-        if expected.get("zero_on_contracted"):
-            pullback = pullback_canonical(model, construction.chains)
-            bad = [
-                name
-                for emb in construction.chains
-                for name in emb.curves
-                if pullback.dot(model.curve(name)) != 0
-            ]
-            if bad:
-                status = "fail"
-                details.append(
-                    f"pullback fails to vanish on contracted curves: {bad}"
-                )
-            else:
-                details.append("pullback vanishes on every contracted curve")
-        return status, details
-
-    guarded("nef_table", nef_check, cite_key="nef_values")
-
-    def invariants_check():
-        summary = blowdown_invariants(
-            model,
-            construction.chains,
-            graph=construction.graph,
-            parity_override=construction.parity_override,
-        )
-        status = "pass"
-        details = []
-
-        def expect(key: str, actual, label: str) -> None:
-            nonlocal status
-            if key not in expected:
-                return
-            recorded = expected[key]
-            if isinstance(recorded, (int, str)) and not isinstance(recorded, bool):
-                matches = (
-                    Fraction(actual) == _frac(recorded)
-                    if not isinstance(actual, str)
-                    else str(actual) == str(recorded)
-                )
-            else:
-                matches = actual == recorded
-            if matches:
-                details.append(f"{label}: {actual}")
-            else:
-                status = "fail"
-                details.append(f"{label}: computed {actual}, recorded {recorded}")
-
-        expect("blowup_count", model.blowup_count, "blow-ups")
-        expect("rank", model.lattice_rank, "lattice rank")
-        expect("k_squared", summary.k_squared, "K^2")
-        expect("euler", summary.euler, "Euler characteristic")
-        expect("signature", summary.signature, "signature")
-        expect("b2_plus", summary.b2_plus, "b2+")
-        expect("b2_minus", summary.b2_minus, "b2-")
-        expect("chi", summary.chi, "chi")
-        expect("parity", summary.parity, "parity")
-        expect("fingerprint", summary.fingerprint, "fingerprint")
-        if not summary.noether_ok:
-            status = "fail"
             details.append(
-                f"Noether relation fails: {summary.k_squared} + "
-                f"{summary.euler} != 12 * {summary.chi}"
+                f"pullback . {name} = {value} < 0, matching the negative "
+                "pairing recorded against the source's minimality claim"
             )
         else:
+            status = "fail"
+            details.append(f"pullback . {name} = {value} < 0")
+    for name in recorded_negative:
+        if name not in computed or computed[name] >= 0:
+            status = "fail"
             details.append(
-                f"Noether relation holds: {summary.k_squared} + "
-                f"{summary.euler} = 12 * {summary.chi}"
+                f"recorded negative pairing for {name} was not reproduced"
             )
-        details.append(f"parity reason: {summary.parity_reason}")
-        return status, details
-
-    guarded("invariants", invariants_check)
-
-    if construction.graph is not None:
-
-        def pi1_check():
-            result = pi1_closure(construction.graph)
-            details = list(result.describe())
-            if construction.graph.reconstructed:
-                details.append(
-                    "connection graph was reconstructed from the curve "
-                    "geometry rather than recorded explicitly"
-                )
-            status = "pass"
-            if "pi1_trivial" in expected and result.trivial != bool(
-                expected["pi1_trivial"]
-            ):
-                status = "fail"
-                details.append(
-                    f"closure trivial = {result.trivial}, recorded "
-                    f"{expected['pi1_trivial']}"
-                )
-            return status, details
-
-        guarded("pi1_closure", pi1_check, cite_key="pi1_trivial")
-
-    if "rationality_exclusion" in expected:
-
-        def rationality_check():
-            summary = blowdown_invariants(
-                model,
-                construction.chains,
-                graph=construction.graph,
-                parity_override=construction.parity_override,
+    details.insert(
+        0,
+        f"pullback pairs nonnegatively with {len(values) - negative} "
+        f"of {len(values)} test curves",
+    )
+    if "nef_values" in expected:
+        printed = _frac_table(expected["nef_values"])
+        corrections = _frac_table(errata.get("nef_values", {}))
+        sub_status, sub_details = _compare_tables(
+            "nef", printed, {k: v for k, v in computed.items() if k in printed},
+            corrections,
+        )
+        status = _merge(status, sub_status)
+        details.extend(sub_details)
+    if "zero_on_contracted" in expected:
+        bad = [
+            name
+            for emb in construction.chains
+            for name in emb.curves
+            if pullback.dot(model.curve(name)) != 0
+        ]
+        line = (
+            f"pullback fails to vanish on contracted curves: {bad}"
+            if bad
+            else "pullback vanishes on every contracted curve"
+        )
+        recorded = expected["zero_on_contracted"]
+        if recorded != (not bad):
+            status = "fail"
+            cite = construction.expected_cites.get("zero_on_contracted", "")
+            line += (
+                f", but zero_on_contracted is recorded as {json.dumps(recorded)}"
+                + (f" [{cite}]" if cite else "")
             )
-            verdict, value = rationality_exclusion(
-                summary.k_squared, summary.chi
+        details.append(line)
+    return status, details
+
+
+def _invariants_check(replay: Replay):
+    construction, model = replay.construction, replay.model
+    expected = construction.expected
+    summary = replay.summary
+    status = "pass"
+    details = []
+
+    def expect(key: str, actual, label: str) -> None:
+        nonlocal status
+        if key not in expected:
+            return
+        recorded = expected[key]
+        if isinstance(recorded, (int, str)) and not isinstance(recorded, bool):
+            matches = (
+                str(actual) == str(recorded)
+                if actual is None or isinstance(actual, str)
+                else Fraction(actual) == _frac(recorded)
             )
-            recorded = _frac(expected["rationality_exclusion"])
-            details = [
-                f"second plurigenus chi + K^2 = {value}"
-                + (", positive, so the surface is not rational" if verdict else "")
-            ]
-            status = "pass"
-            if value != recorded:
-                status = "fail"
-                details.append(f"recorded value {recorded} differs")
-            if not verdict:
-                status = "fail"
-                details.append("plurigenus is not positive")
-            return status, details
-
-        guarded("rationality_exclusion", rationality_check,
-                cite_key="rationality_exclusion")
-
-    def citation_check():
-        status = "pass"
-        details = []
-        if construction.citation.strip():
-            details.append(construction.citation)
+        else:
+            matches = actual == recorded
+        if matches:
+            details.append(f"{label}: {actual}")
         else:
             status = "fail"
-            details.append("dataset carries no citation string")
-        missing = sorted(
-            key
-            for key in construction.expected
-            if not str(construction.expected_cites.get(key, "")).strip()
+            details.append(f"{label}: computed {actual}, recorded {recorded}")
+
+    expect("blowup_count", model.blowup_count, "blow-ups")
+    expect("rank", model.lattice_rank, "lattice rank")
+    expect("k_squared", summary.k_squared, "K^2")
+    expect("euler", summary.euler, "Euler characteristic")
+    expect("signature", summary.signature, "signature")
+    expect("b2_plus", summary.b2_plus, "b2+")
+    expect("b2_minus", summary.b2_minus, "b2-")
+    expect("chi", summary.chi, "chi")
+    expect("parity", summary.parity, "parity")
+    expect("fingerprint", summary.fingerprint, "fingerprint")
+    if not summary.noether_ok:
+        status = "fail"
+        details.append(
+            f"Noether relation fails: {summary.k_squared} + "
+            f"{summary.euler} != 12 * {summary.chi}"
         )
-        if missing:
-            status = "fail"
-            details.append(
-                "recorded values lacking a citation: " + ", ".join(missing)
-            )
-        elif construction.expected:
-            details.append(
-                f"all {len(construction.expected)} recorded values carry "
-                "citations"
-            )
-        return status, details
+    else:
+        details.append(
+            f"Noether relation holds: {summary.k_squared} + "
+            f"{summary.euler} = 12 * {summary.chi}"
+        )
+    details.append(f"parity reason: {summary.parity_reason}")
+    return status, details
 
-    guarded("citation", citation_check)
 
-    return VerifyReport(construction=construction.name, checks=tuple(checks))
+def _pi1_check(replay: Replay):
+    construction = replay.construction
+    result = replay.pi1
+    details = list(result.describe())
+    if construction.graph.reconstructed:
+        details.append(
+            "connection graph was reconstructed from the curve "
+            "geometry rather than recorded explicitly"
+        )
+    status = "pass"
+    expected = construction.expected
+    if "pi1_trivial" in expected and result.trivial != bool(
+        expected["pi1_trivial"]
+    ):
+        status = "fail"
+        details.append(
+            f"closure trivial = {result.trivial}, recorded "
+            f"{expected['pi1_trivial']}"
+        )
+    return status, details
+
+
+def _rationality_check(replay: Replay):
+    summary = replay.summary
+    verdict, value = rationality_exclusion(summary.k_squared, summary.chi)
+    recorded = _frac(replay.construction.expected["rationality_exclusion"])
+    details = [
+        f"second plurigenus chi + K^2 = {value}"
+        + (", positive, so the surface is not rational" if verdict else "")
+    ]
+    status = "pass"
+    if value != recorded:
+        status = "fail"
+        details.append(f"recorded value {recorded} differs")
+    if not verdict:
+        status = "fail"
+        details.append("plurigenus is not positive")
+    return status, details
+
+
+def _citation_check(replay: Replay):
+    construction = replay.construction
+    status = "pass"
+    details = []
+    if construction.citation.strip():
+        details.append(construction.citation)
+    else:
+        status = "fail"
+        details.append("dataset carries no citation string")
+    missing = sorted(
+        key
+        for key in construction.expected
+        if not str(construction.expected_cites.get(key, "")).strip()
+    )
+    if missing:
+        status = "fail"
+        details.append(
+            "recorded values lacking a citation: " + ", ".join(missing)
+        )
+    elif construction.expected:
+        details.append(
+            f"all {len(construction.expected)} recorded values carry "
+            "citations"
+        )
+    return status, details
+
+
+def _always(construction: Construction) -> bool:
+    return True
+
+
+# (check name, check, key of the recorded value whose citation it carries,
+#  whether the dataset records what the check needs)
+_CHECKS = (
+    ("script_expectations", _script_check, "", _always),
+    ("chain_shapes", _shapes_check, "", _always),
+    ("artin_contractibility", _artin_check, "", _always),
+    ("discrepancies", _discrepancy_check, "discrepancies", _always),
+    ("adjunction", _adjunction_check, "", _always),
+    ("orthogonality", _orthogonality_check, "", _always),
+    ("k_squared", _k_squared_check, "k_squared", _always),
+    ("canonical_relation", _canonical_relation_check, "canonical_relation",
+     lambda c: c.base_surface_step is not None
+     and "canonical_relation" in c.expected),
+    ("fiber_relation", _fiber_relation_check, "fiber_relation",
+     lambda c: bool(c.fiber_expansions) and "fiber_relation" in c.expected),
+    ("pullback_expansion", _pullback_expansion_check, "pullback_coefficients",
+     lambda c: "pullback_coefficients" in c.expected),
+    ("nef_table", _nef_check, "nef_values", _always),
+    ("invariants", _invariants_check, "", _always),
+    ("pi1_closure", _pi1_check, "pi1_trivial", lambda c: c.graph is not None),
+    ("rationality_exclusion", _rationality_check, "rationality_exclusion",
+     lambda c: "rationality_exclusion" in c.expected),
+    ("citation", _citation_check, "", _always),
+)

@@ -3,20 +3,23 @@
 Given a surface model carrying disjoint chains of rational curves, the
 contraction to a singular surface is tracked through exact lattice data:
 discrepancies come from a fraction-free tridiagonal solve, the pullback of
-the contracted canonical class is assembled from them, and negative
-definiteness of each chain is certified by the signs of leading principal
-minors.  Nothing here is numerical in the floating point sense; every
-value is a :class:`fractions.Fraction`.
+the contracted canonical class is assembled from them over one common
+denominator, and negative definiteness of each chain is certified by the
+signs of its leading principal minors, which for a chain are signed
+continuants.  Expansions over curve classes use fraction-free (Bareiss)
+elimination.  Every value is an ``int`` or a
+:class:`fractions.Fraction`, never a ``float``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from math import lcm
+from typing import Sequence, Union
 
-from .lattice import DivisorClass, SurfaceModel
-from .tchains import chain_determinant, continuants, hj_expand
+from .lattice import DivisorClass, Rational, SurfaceModel
+from .tchains import continuants, hj_expand
 
 __all__ = [
     "ContractionError",
@@ -66,13 +69,33 @@ def chain_shape(model: SurfaceModel, curves: Sequence[str]) -> tuple[int, ...]:
     bs = []
     for name in curves:
         self_int = model.self_intersection(name)
-        if self_int.denominator != 1 or self_int > -2:
+        if self_int > -2:
             raise ContractionError(
                 f"curve {name!r} has self-intersection {self_int}, "
                 "need an integer at most -2"
             )
-        bs.append(int(-self_int))
+        bs.append(-self_int)
     return tuple(bs)
+
+
+def _tridiagonal_shape(
+    model: SurfaceModel, label: str, names: Sequence[str]
+) -> tuple[int, ...]:
+    """The shape of distinct curves that meet in a chain, consecutive ones
+    once and the others not at all."""
+    if len(set(names)) != len(names):
+        raise ContractionError(f"{label}: repeated curve in chain {tuple(names)}")
+    bs = chain_shape(model, names)
+    for i in range(len(names)):
+        for j in range(i + 1, len(names)):
+            value = model.intersect(names[i], names[j])
+            expected = 1 if j == i + 1 else 0
+            if value != expected:
+                raise ContractionError(
+                    f"{label}: {names[i]} . {names[j]} = {value}, "
+                    f"expected {expected}"
+                )
+    return bs
 
 
 def validate_embedding(
@@ -81,75 +104,27 @@ def validate_embedding(
     """Check a chain embedding curve by curve and return its shape.
 
     Verifies that the curves are distinct, consecutive ones meet once,
-    non-consecutive ones are disjoint, the shape matches the continued
-    fraction of ``p^2/(pq - 1)``, and the chain determinant is ``p^2``
-    (the boundary lens space check).
+    non-consecutive ones are disjoint, and the shape matches the continued
+    fraction of ``p^2/(pq - 1)``, whose chain determinant is ``p^2`` (the
+    boundary lens space).
     """
-    names = emb.curves
-    if len(set(names)) != len(names):
-        raise ContractionError(f"{emb.label}: repeated curve in chain {names}")
-    bs = chain_shape(model, names)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            value = model.intersect(names[i], names[j])
-            expected = 1 if j == i + 1 else 0
-            if value != expected:
-                raise ContractionError(
-                    f"{emb.label}: {names[i]} . {names[j]} = {value}, "
-                    f"expected {expected}"
-                )
+    bs = _tridiagonal_shape(model, emb.label, emb.curves)
     expected_bs = emb.expected_chain
     if bs != expected_bs:
         raise ContractionError(
             f"{emb.label}: shape {bs} does not match "
             f"the expansion {expected_bs} of {emb.p}^2/({emb.p}*{emb.q} - 1)"
         )
-    det = chain_determinant(bs)
-    if det != emb.p * emb.p:
-        raise ContractionError(
-            f"{emb.label}: chain determinant {det}, expected {emb.p * emb.p}"
-        )
     return bs
-
-
-def _intersection_matrix(
-    model: SurfaceModel, names: Sequence[str]
-) -> list[list[Fraction]]:
-    classes = [model.curve(n) for n in names]
-    return [[a.dot(b) for b in classes] for a in classes]
-
-
-def _determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    size = len(matrix)
-    work = [list(row) for row in matrix]
-    det = Fraction(1)
-    for col in range(size):
-        pivot_row = next(
-            (r for r in range(col, size) if work[r][col] != 0), None
-        )
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            det = -det
-        pivot = work[col][col]
-        det *= pivot
-        for r in range(col + 1, size):
-            factor = work[r][col] / pivot
-            if factor:
-                work[r] = [
-                    work[r][c] - factor * work[col][c] for c in range(size)
-                ]
-    return det
 
 
 @dataclass(frozen=True)
 class ChainCertificate:
     label: str
     chain: tuple[int, ...]
-    minors: tuple[Fraction, ...]
+    minors: tuple[int, ...]
     negative_definite: bool
-    determinant: Fraction
+    determinant: int
     expected_determinant: int
 
     @property
@@ -162,7 +137,7 @@ class ChainCertificate:
 @dataclass(frozen=True)
 class ArtinCertificate:
     chains: tuple[ChainCertificate, ...]
-    cross_violations: tuple[tuple[str, str, str, str, Fraction], ...]
+    cross_violations: tuple[tuple[str, str, str, str, int], ...]
 
     @property
     def ok(self) -> bool:
@@ -176,24 +151,21 @@ def check_artin(
 
     For each chain the leading principal minors ``m_1, ..., m_k`` of its
     intersection matrix must satisfy ``(-1)^j m_j > 0``, and the full
-    determinant must be ``(-1)^k p^2``.  Distinct chains must not meet.
+    determinant must be ``(-1)^k p^2``.  The matrix of a chain is
+    tridiagonal, so ``m_j`` is ``(-1)^j`` times the j-th continuant of its
+    shape.  Distinct chains must not meet.
     """
     certificates = []
     for emb in embeddings:
-        matrix = _intersection_matrix(model, emb.curves)
-        minors = tuple(
-            _determinant([row[: j + 1] for row in matrix[: j + 1]])
-            for j in range(len(matrix))
-        )
-        definite = all(
-            ((-1) ** (j + 1)) * minor > 0 for j, minor in enumerate(minors)
-        )
+        bs = _tridiagonal_shape(model, emb.label, emb.curves)
+        qs = continuants(bs)
+        minors = tuple((-1) ** j * q for j, q in enumerate(qs, start=1))
         certificates.append(
             ChainCertificate(
                 label=emb.label,
-                chain=chain_shape(model, emb.curves),
+                chain=bs,
                 minors=minors,
-                negative_definite=definite,
+                negative_definite=all(q > 0 for q in qs),
                 determinant=minors[-1],
                 expected_determinant=emb.p * emb.p,
             )
@@ -231,17 +203,15 @@ def chain_discrepancies(bs: Sequence[int]) -> tuple[Fraction, ...]:
     the open interval (0, 1).
     """
     qs = continuants(bs)
-    chain = tuple(bs)
-    prev, cur = Fraction(0), Fraction(0)
+    prev, cur = 0, 0
     ss = []
-    for j, b in enumerate(chain):
+    for b in bs:
         prev, cur = cur, b * cur - prev + (2 - b)
         ss.append(cur)
-    d1 = -ss[-1] / Fraction(qs[-1])
-    ds = [d1]
-    for j in range(len(chain) - 1):
-        ds.append(qs[j] * d1 + ss[j])
-    return tuple(ds)
+    det, top = qs[-1], -ss[-1]
+    return (Fraction(top, det),) + tuple(
+        Fraction(q * top + s * det, det) for q, s in zip(qs, ss[:-1])
+    )
 
 
 def k_squared_gain(bs: Sequence[int]) -> Fraction:
@@ -257,19 +227,22 @@ def k_squared_gain(bs: Sequence[int]) -> Fraction:
 
 
 def pullback_canonical(
-    model: SurfaceModel, embeddings: Sequence[ChainEmbedding]
+    model: SurfaceModel,
+    embeddings: Sequence[ChainEmbedding],
+    shapes: Union[Sequence[tuple[int, ...]], None] = None,
 ) -> DivisorClass:
     """The pullback of the contracted surface's canonical class.
 
     Computes ``K + sum of d_i G_i`` over every chain, after validating each
-    embedding and checking adjunction ``K . G_i = b_i - 2`` on every chain
-    curve.  The result is orthogonal to each contracted curve by
-    construction; this is asserted as a consistency check on the solver.
+    embedding (or taking its validated shape from ``shapes``) and checking
+    adjunction ``K . G_i = b_i - 2`` on every chain curve.  The sum is
+    taken in integers over the common denominator of the discrepancies.
+    The result is orthogonal to each contracted curve by construction; this
+    is asserted as a consistency check on the solver.
     """
-    total = model.canonical
-    for emb in embeddings:
-        bs = validate_embedding(model, emb)
-        ds = chain_discrepancies(bs)
+    terms = []
+    for index, emb in enumerate(embeddings):
+        bs = validate_embedding(model, emb) if shapes is None else shapes[index]
         for name, b in zip(emb.curves, bs):
             pairing = model.intersect(model.canonical, name)
             if pairing != b - 2:
@@ -277,21 +250,27 @@ def pullback_canonical(
                     f"{emb.label}: adjunction fails on {name}, "
                     f"K . {name} = {pairing}, expected {b - 2}"
                 )
-        for name, d in zip(emb.curves, ds):
-            total = total + d * model.curve(name)
-    for emb in embeddings:
-        for name in emb.curves:
-            value = total.dot(model.curve(name))
-            if value != 0:
-                raise AssertionError(
-                    f"pullback not orthogonal to contracted curve {name}: {value}"
-                )
+        terms.extend(zip(emb.curves, chain_discrepancies(bs)))
+    den = lcm(*(d.denominator for _, d in terms))
+    coords = [den * c for c in model.canonical.coords]
+    for name, d in terms:
+        weight = d.numerator * (den // d.denominator)
+        for i, c in enumerate(model.curve(name).coords):
+            if c:
+                coords[i] += weight * c
+    total = DivisorClass(tuple(coords), den)
+    for name, _ in terms:
+        value = total.dot(model.curve(name))
+        if value != 0:
+            raise AssertionError(
+                f"pullback not orthogonal to contracted curve {name}: {value}"
+            )
     return total
 
 
 def contracted_k_squared(
     model: SurfaceModel, embeddings: Sequence[ChainEmbedding]
-) -> Fraction:
+) -> Rational:
     """Canonical self-intersection of the contracted surface."""
     pullback = pullback_canonical(model, embeddings)
     return pullback.dot(pullback)
@@ -301,9 +280,11 @@ def nef_values(
     model: SurfaceModel,
     embeddings: Sequence[ChainEmbedding],
     names: Sequence[str],
-) -> list[tuple[str, Fraction]]:
+    pullback: Union[DivisorClass, None] = None,
+) -> list[tuple[str, Rational]]:
     """Pair the pullback canonical class against named test curves."""
-    pullback = pullback_canonical(model, embeddings)
+    if pullback is None:
+        pullback = pullback_canonical(model, embeddings)
     return [(name, pullback.dot(model.curve(name))) for name in names]
 
 
@@ -314,46 +295,49 @@ def expand_in_curves(
 ) -> dict[str, Fraction]:
     """Write a class as an exact combination of named curves.
 
-    Solves ``cls = sum_i c_i [curve_i]`` by Gaussian elimination over the
-    rationals.  Raises ``ContractionError`` if the named curves are
-    linearly dependent (the expansion would not be unique) or if the class
-    does not lie in their span.
+    Solves ``cls = sum_i c_i [curve_i]`` by fraction-free Gauss-Jordan
+    elimination (Bareiss 1968): every entry stays an integer minor of the
+    augmented matrix, each division by the previous pivot is exact, and the
+    coefficients are quotients by the last pivot.  Raises
+    ``ContractionError`` if the named curves are linearly dependent (the
+    expansion would not be unique) or if the class does not lie in their
+    span.
     """
     target = model.resolve(cls)
-    columns = [model.curve(n) for n in names]
-    rows = target.lattice_rank
+    columns = [model.curve(n).coords for n in names]
     cols = len(columns)
     matrix = [
-        [columns[c].coords[r] for c in range(cols)] + [target.coords[r]]
-        for r in range(rows)
+        [column[r] for column in columns] + [value]
+        for r, value in enumerate(target.coords)
     ]
-    pivot_cols: list[int] = []
-    row = 0
+    rows = len(matrix)
+    prev = 1
     for col in range(cols):
         pivot_row = next(
-            (r for r in range(row, rows) if matrix[r][col] != 0), None
+            (r for r in range(col, rows) if matrix[r][col] != 0), None
         )
         if pivot_row is None:
             raise ContractionError(
                 f"curves {list(names)} are linearly dependent; "
                 "expansion is not unique"
             )
-        matrix[row], matrix[pivot_row] = matrix[pivot_row], matrix[row]
-        pivot = matrix[row][col]
-        matrix[row] = [v / pivot for v in matrix[row]]
+        matrix[col], matrix[pivot_row] = matrix[pivot_row], matrix[col]
+        pivot_line = matrix[col]
+        pivot = pivot_line[col]
         for r in range(rows):
-            if r != row and matrix[r][col] != 0:
-                factor = matrix[r][col]
+            line = matrix[r]
+            factor = line[col]
+            if r != col:
                 matrix[r] = [
-                    matrix[r][c] - factor * matrix[row][c]
-                    for c in range(cols + 1)
+                    (pivot * v - factor * w) // prev
+                    for v, w in zip(line, pivot_line)
                 ]
-        pivot_cols.append(col)
-        row += 1
-    for r in range(row, rows):
+        prev = pivot
+    den = prev * target.denominator
+    for r in range(cols, rows):
         if matrix[r][cols] != 0:
             raise ContractionError(
                 "class does not lie in the span of "
-                f"{list(names)} (residual {matrix[r][cols]})"
+                f"{list(names)} (residual {Fraction(matrix[r][cols], den)})"
             )
-    return {names[c]: matrix[i][cols] for i, c in enumerate(pivot_cols)}
+    return {names[i]: Fraction(matrix[i][cols], den) for i in range(cols)}

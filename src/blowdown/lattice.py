@@ -8,15 +8,19 @@ exceptional curve of the i-th blow-up; the intersection form is
 model whose named curves are the strict transforms of the old ones, with the
 new exceptional curve registered under a fresh name.
 
-Every coordinate is a :class:`fractions.Fraction`, so each intersection
-number computed here is exact.  Floating point never enters.
+Every coordinate is an ``int``.  A rational class, such as the pullback of
+a contracted canonical class, keeps integer coordinates over one common
+denominator, and its pairings come out as :class:`fractions.Fraction`.  Each
+model also carries the integer Gram matrix of its named curves, updated at
+every blow-up.  Arithmetic is ``int`` and ``Fraction``, never ``float``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterator, Mapping, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -35,88 +39,86 @@ __all__ = [
     "iter_models",
     "run_script",
     "check_expectations",
-    "load_script",
 ]
 
 
 @dataclass(frozen=True)
 class DivisorClass:
-    """A lattice element ``a_0 h + a_1 e_1 + ... + a_n e_n``.
+    """A lattice element ``(a_0 h + a_1 e_1 + ... + a_n e_n) / denominator``.
 
-    ``coords`` holds ``(a_0, a_1, ..., a_n)`` as exact fractions.  The
-    intersection pairing is ``a_0 b_0 - a_1 b_1 - ... - a_n b_n``.
+    ``coords`` holds the integers ``(a_0, a_1, ..., a_n)``; the denominator
+    is positive and shares no factor with all of them, so equal classes
+    have equal fields.  The intersection pairing is
+    ``a_0 b_0 - a_1 b_1 - ... - a_n b_n`` over the product of denominators:
+    an ``int`` for integral classes, a ``Fraction`` otherwise.
     """
 
-    coords: tuple[Fraction, ...]
+    coords: tuple[int, ...]
+    denominator: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "coords", tuple(Fraction(c) for c in self.coords)
-        )
+        if self.denominator != 1:
+            den = self.denominator
+            if den < 1:
+                raise ValueError(f"denominator must be positive, got {den}")
+            common = gcd(den, *self.coords)
+            if common != 1:
+                object.__setattr__(
+                    self, "coords", tuple(c // common for c in self.coords)
+                )
+                object.__setattr__(self, "denominator", den // common)
 
     @property
     def lattice_rank(self) -> int:
         return len(self.coords)
 
-    def dot(self, other: "DivisorClass") -> Fraction:
-        if len(self.coords) != len(other.coords):
+    def dot(self, other: "DivisorClass") -> Rational:
+        a, b = self.coords, other.coords
+        if len(a) != len(b):
             raise ValueError(
-                "cannot pair classes of rank "
-                f"{len(self.coords)} and {len(other.coords)}"
+                f"cannot pair classes of rank {len(a)} and {len(b)}"
             )
-        total = self.coords[0] * other.coords[0]
-        for a, b in zip(self.coords[1:], other.coords[1:]):
-            total -= a * b
-        return total
+        total = 2 * a[0] * b[0] - sum(map(mul, a, b))
+        den = self.denominator * other.denominator
+        return total if den == 1 else Fraction(total, den)
 
-    def padded(self, lattice_rank: int) -> "DivisorClass":
-        """Extend by zero coordinates up to ``lattice_rank``."""
-        if lattice_rank < len(self.coords):
-            raise ValueError("cannot shrink a divisor class")
-        pad = (Fraction(0),) * (lattice_rank - len(self.coords))
-        return DivisorClass(self.coords + pad)
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+    def _combine(self, other: "DivisorClass", sign: int, what: str):
+        if len(self.coords) != len(other.coords):
+            raise ValueError(f"rank mismatch in divisor {what}")
+        da, db = self.denominator, other.denominator
+        den = lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        return DivisorClass(
+            tuple(fa * a + fb * b for a, b in zip(self.coords, other.coords)),
+            den,
+        )
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        if len(self.coords) != len(other.coords):
-            raise ValueError("rank mismatch in divisor sum")
-        return DivisorClass(
-            tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
+        return self._combine(other, 1, "sum")
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        if len(self.coords) != len(other.coords):
-            raise ValueError("rank mismatch in divisor difference")
-        return DivisorClass(
-            tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
+        return self._combine(other, -1, "difference")
 
     def __mul__(self, scalar: Rational) -> "DivisorClass":
-        s = Fraction(scalar)
-        return DivisorClass(tuple(s * a for a in self.coords))
+        if isinstance(scalar, int):
+            num, den = scalar, 1
+        elif isinstance(scalar, Fraction):
+            num, den = scalar.numerator, scalar.denominator
+        else:
+            return NotImplemented
+        return DivisorClass(
+            tuple(num * a for a in self.coords), den * self.denominator
+        )
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(tuple(-a for a in self.coords))
+        return DivisorClass(tuple(-a for a in self.coords), self.denominator)
 
     def __repr__(self) -> str:
         inside = ", ".join(str(c) for c in self.coords)
-        return f"DivisorClass(({inside}))"
-
-
-def basis_class(lattice_rank: int, index: int) -> DivisorClass:
-    """The basis vector ``h`` (index 0) or ``e_index`` as a class."""
-    if not 0 <= index < lattice_rank:
-        raise ValueError(f"basis index {index} out of range")
-    coords = [Fraction(0)] * lattice_rank
-    coords[index] = Fraction(1)
-    return DivisorClass(tuple(coords))
+        tail = f", denominator={self.denominator}" if self.denominator != 1 else ""
+        return f"DivisorClass(({inside}){tail})"
 
 
 @dataclass(frozen=True)
@@ -134,11 +136,16 @@ class BlowupStep:
 
 @dataclass(frozen=True)
 class SurfaceModel:
-    """The plane after ``blowup_count`` blow-ups, with named curve classes."""
+    """The plane after ``blowup_count`` blow-ups, with named curve classes.
+
+    ``gram`` maps every ordered pair of curve names to their intersection
+    number, so pairings of named curves are lookups.
+    """
 
     blowup_count: int
     curves: Mapping[str, DivisorClass]
     canonical: DivisorClass
+    gram: Mapping[tuple[str, str], int]
     history: tuple[BlowupStep, ...] = ()
 
     @property
@@ -158,15 +165,30 @@ class SurfaceModel:
 
     def intersect(
         self, a: Union[str, DivisorClass], b: Union[str, DivisorClass]
-    ) -> Fraction:
+    ) -> Rational:
+        if isinstance(a, str) and isinstance(b, str) and (a, b) in self.gram:
+            return self.gram[a, b]
         return self.resolve(a).dot(self.resolve(b))
 
-    def self_intersection(self, name: str) -> Fraction:
-        cls = self.curve(name)
-        return cls.dot(cls)
+    def self_intersection(self, name: str) -> int:
+        return self.intersect(name, name)
 
-    def canonical_self_intersection(self) -> Fraction:
+    def canonical_self_intersection(self) -> int:
         return self.canonical.dot(self.canonical)
+
+    def canonical_at(self, step: int) -> DivisorClass:
+        """The canonical class after ``step`` blow-ups, pulled back here.
+
+        Every blow-up adds its exceptional class to the canonical class, so
+        this is ``-3h + e_1 + ... + e_step`` and needs no replay.
+        """
+        if not 0 <= step <= self.blowup_count:
+            raise ValueError(
+                f"base_surface_step {step} beyond the end of the script"
+            )
+        return DivisorClass(
+            (-3,) + (1,) * step + (0,) * (self.blowup_count - step)
+        )
 
 
 def new_plane(base_curves: Mapping[str, int]) -> SurfaceModel:
@@ -177,10 +199,14 @@ def new_plane(base_curves: Mapping[str, int]) -> SurfaceModel:
             raise ValueError(
                 f"curve {name!r} must have a positive integer degree, got {degree!r}"
             )
-        curves[name] = DivisorClass((Fraction(degree),))
-    canonical = DivisorClass((Fraction(-3),))
+        curves[name] = DivisorClass((degree,))
+    gram = {
+        (a, b): ca.coords[0] * cb.coords[0]
+        for a, ca in curves.items()
+        for b, cb in curves.items()
+    }
     return SurfaceModel(
-        blowup_count=0, curves=curves, canonical=canonical, history=()
+        blowup_count=0, curves=curves, canonical=DivisorClass((-3,)), gram=gram
     )
 
 
@@ -194,7 +220,9 @@ def blow_up(
     ``at`` names the curves through the point with their multiplicities
     there.  Curves not listed are assumed to miss the point.  The strict
     transform of a listed curve drops ``mult`` copies of the new exceptional
-    class; the canonical class gains one copy.
+    class; the canonical class gains one copy.  In the Gram matrix, two
+    listed curves lose the product of their multiplicities, and the new
+    curve meets each curve in its multiplicity.
     """
     if name in model.curves:
         raise ValueError(f"curve name {name!r} already in use")
@@ -215,23 +243,25 @@ def blow_up(
                 f"got {mult!r}"
             )
 
-    new_rank = model.lattice_rank + 1
     mults = dict(at)
-    e_new = basis_class(new_rank, new_rank - 1)
-    curves: dict[str, DivisorClass] = {}
-    for curve_name, cls in model.curves.items():
-        lifted = cls.padded(new_rank)
-        m = mults.get(curve_name, 0)
-        if m:
-            lifted = lifted - m * e_new
-        curves[curve_name] = lifted
-    curves[name] = e_new
-    canonical = model.canonical.padded(new_rank) + e_new
+    curves = {
+        curve_name: DivisorClass(cls.coords + (-mults.get(curve_name, 0),))
+        for curve_name, cls in model.curves.items()
+    }
+    curves[name] = DivisorClass((0,) * model.lattice_rank + (1,))
+    gram = dict(model.gram)
+    for a, ma in mults.items():
+        for b, mb in mults.items():
+            gram[a, b] -= ma * mb
+    for curve_name in model.curves:
+        gram[name, curve_name] = gram[curve_name, name] = mults.get(curve_name, 0)
+    gram[name, name] = -1
     step = BlowupStep(name=name, center=tuple((c, m) for c, m in at))
     return SurfaceModel(
         blowup_count=model.blowup_count + 1,
         curves=curves,
-        canonical=canonical,
+        canonical=DivisorClass(model.canonical.coords + (1,)),
+        gram=gram,
         history=model.history + (step,),
     )
 
@@ -240,7 +270,7 @@ def intersect(
     model: SurfaceModel,
     a: Union[str, DivisorClass],
     b: Union[str, DivisorClass],
-) -> Fraction:
+) -> Rational:
     return model.intersect(a, b)
 
 
@@ -300,11 +330,15 @@ class Expectation:
             return Fraction(self.self_int)  # type: ignore[arg-type]
         return Fraction(self.intersection)  # type: ignore[arg-type]
 
-    def evaluate(self, model: SurfaceModel) -> Fraction:
+    def evaluate(self, model: SurfaceModel) -> Rational:
         if self.curve is not None:
             return model.self_intersection(self.curve)
         a, b = self.curves  # type: ignore[misc]
         return model.intersect(a, b)
+
+    def grade(self, model: SurfaceModel) -> tuple["Expectation", Rational, bool]:
+        actual = self.evaluate(model)
+        return self, actual, actual == self.expected_value()
 
     def check(self, model: SurfaceModel) -> None:
         actual = self.evaluate(model)
@@ -323,6 +357,13 @@ class Script:
     @property
     def step_count(self) -> int:
         return len(self.steps)
+
+    def checkpoints(self) -> dict[int, list[Expectation]]:
+        """The recorded expectations grouped by the step they follow."""
+        by_step: dict[int, list[Expectation]] = {}
+        for exp in self.expectations:
+            by_step.setdefault(exp.after_step, []).append(exp)
+        return by_step
 
 
 def _base_degree(name: str, value) -> int:
@@ -409,11 +450,6 @@ def parse_script(data: Mapping) -> Script:
     )
 
 
-def load_script(path: str) -> Script:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_script(json.load(handle))
-
-
 def iter_models(script: Script) -> Iterator[tuple[int, SurfaceModel]]:
     """Yield ``(step_index, model)`` starting from ``(0, plane)``."""
     model = new_plane(dict(script.base_curves))
@@ -430,29 +466,20 @@ def run_script(script: Script, *, check: bool = True) -> SurfaceModel:
     :class:`ExpectationError` naming the step, the curves, both values, and
     the recorded citation.
     """
-    by_step: dict[int, list[Expectation]] = {}
-    if check:
-        for exp in script.expectations:
-            by_step.setdefault(exp.after_step, []).append(exp)
-    final = None
+    by_step = script.checkpoints() if check else {}
     for i, model in iter_models(script):
         for exp in by_step.get(i, ()):
             exp.check(model)
-        final = model
-    assert final is not None
-    return final
+    return model
 
 
 def check_expectations(
     script: Script,
-) -> list[tuple[Expectation, Fraction, bool]]:
+) -> list[tuple[Expectation, Rational, bool]]:
     """Evaluate every checkpoint, collecting results instead of raising."""
-    by_step: dict[int, list[Expectation]] = {}
-    for exp in script.expectations:
-        by_step.setdefault(exp.after_step, []).append(exp)
-    results: list[tuple[Expectation, Fraction, bool]] = []
-    for i, model in iter_models(script):
-        for exp in by_step.get(i, ()):
-            actual = exp.evaluate(model)
-            results.append((exp, actual, actual == exp.expected_value()))
-    return results
+    by_step = script.checkpoints()
+    return [
+        exp.grade(model)
+        for i, model in iter_models(script)
+        for exp in by_step.get(i, ())
+    ]

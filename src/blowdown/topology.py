@@ -23,12 +23,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping, Sequence, Union
 
-from .contraction import (
-    ChainEmbedding,
-    contracted_k_squared,
-    validate_embedding,
-)
-from .lattice import SurfaceModel
+from .contraction import ChainEmbedding, pullback_canonical
+from .lattice import DivisorClass, Rational, SurfaceModel
 from .tchains import continuants
 
 __all__ = [
@@ -268,7 +264,7 @@ def rational_ball_invariants(p: int, q: int) -> RationalBall:
 class SurfaceSummary:
     """Numerical record of the surgered surface."""
 
-    k_squared: Fraction
+    k_squared: Rational
     euler: int
     signature: int
     b2_plus: int
@@ -303,9 +299,8 @@ def _parity(
     for name in model.curves:
         if name in contracted:
             continue
-        cls = model.curve(name)
-        self_int = cls.dot(cls)
-        if self_int.denominator != 1 or int(self_int) % 2 == 0:
+        self_int = model.self_intersection(name)
+        if self_int % 2 == 0:
             continue
         if all(
             model.intersect(name, other) == 0
@@ -330,6 +325,7 @@ def blowdown_invariants(
     embeddings: Sequence[ChainEmbedding],
     graph: Union[ConnectionGraph, None] = None,
     parity_override: Union[str, None] = None,
+    pullback: Union[DivisorClass, None] = None,
 ) -> SurfaceSummary:
     """Invariants of the surface after rationally blowing down the chains.
 
@@ -337,14 +333,16 @@ def blowdown_invariants(
     ``-k``) is traded for a rational ball (Euler characteristic 1,
     signature 0), so the Euler characteristic drops by ``k`` per chain and
     the signature rises by ``k``.  The canonical self-intersection comes
-    from the contraction pullback.  Holomorphic invariants follow from the
-    signature theorem and are cross-checked against the Noether relation.
+    from the contraction pullback, which is built here unless ``pullback``
+    passes it in.  Holomorphic invariants follow from the signature theorem
+    and are cross-checked against the Noether relation.
     """
+    if pullback is None:
+        pullback = pullback_canonical(model, embeddings)
     for emb in embeddings:
-        validate_embedding(model, emb)
         rational_ball_invariants(emb.p, emb.q)
     total_length = sum(len(emb.curves) for emb in embeddings)
-    k_squared = contracted_k_squared(model, embeddings)
+    k_squared = pullback.dot(pullback)
     euler = 3 + model.blowup_count - total_length
     signature = (1 - model.blowup_count) + total_length
     b2 = model.lattice_rank - total_length

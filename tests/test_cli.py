@@ -191,3 +191,50 @@ def test_verify_mutated_dataset_exits_1(tmp_path, main_construction):
     assert result.returncode == 1
     assert "[FAIL] script_expectations" in result.stdout
     assert "H. Park, J. Park and D. Shin" in result.stdout
+
+
+@pytest.mark.parametrize("command", ["verify", "contract", "invariants"])
+def test_dataset_that_is_an_array_exits_2(tmp_path, command):
+    path = tmp_path / "array.json"
+    path.write_text("[1, 2]")
+    result = run_cli(command, "--dataset", str(path))
+    assert result.returncode == 2
+    assert "must be an object" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", ["verify", "contract", "invariants"])
+def test_chain_without_q_exits_2(tmp_path, main_construction, command):
+    with open(main_construction.source_path, "r", encoding="utf-8") as handle:
+        raw = json.load(handle)
+    del raw["chains"][0]["q"]
+    path = tmp_path / "no_q.json"
+    path.write_text(json.dumps(raw))
+    result = run_cli(command, "--dataset", str(path))
+    assert result.returncode == 2
+    assert "chains[0].q" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_residual_pi1_exits_1_with_a_report(tmp_path, k4_construction):
+    with open(k4_construction.source_path, "r", encoding="utf-8") as handle:
+        raw = json.load(handle)
+    raw["graph"]["edges"][0]["power_b"] = 2
+    path = tmp_path / "k4_pi1.json"
+    path.write_text(json.dumps(raw))
+    result = run_cli("verify", "--dataset", str(path))
+    assert result.returncode == 1
+    assert "[FAIL] pi1_closure" in result.stdout
+    assert "[FAIL] invariants" in result.stdout
+    assert "Traceback" not in result.stderr
+
+
+def test_recorded_table_that_is_an_array_exits_2(tmp_path, main_construction):
+    with open(main_construction.source_path, "r", encoding="utf-8") as handle:
+        raw = json.load(handle)
+    raw["expected"]["canonical_relation"]["values"] = [1, 2]
+    path = tmp_path / "bad_table.json"
+    path.write_text(json.dumps(raw))
+    result = run_cli("verify", "--dataset", str(path))
+    assert result.returncode == 2
+    assert "expected.canonical_relation must be an object" in result.stderr

@@ -1,0 +1,206 @@
+"""One shared replay per command: byte-identical envelopes, exact integer
+arithmetic, and each stage computed once."""
+
+import io
+import json
+import re
+from contextlib import redirect_stdout
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import blowdown.cli as cli
+from blowdown import (
+    Replay,
+    check_expectations,
+    contraction,
+    expand_in_curves,
+    lattice,
+    parse_construction,
+    verify,
+)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+DATASETS = ("main_k3", "pencil2_k3", "k4")
+COMMANDS = ("verify", "contract", "invariants")
+
+
+def run_json(*argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        rc = cli.main([*argv, "--json"])
+    return rc, out.getvalue()
+
+
+@pytest.mark.parametrize("dataset", DATASETS)
+@pytest.mark.parametrize("command", COMMANDS)
+def test_json_envelopes_match_the_golden_files(command, dataset):
+    rc, text = run_json(command, dataset)
+    assert rc == 0
+    golden = GOLDEN / f"{command}_{dataset}.json"
+    assert text.encode("utf-8") == golden.read_bytes()
+
+
+def _no_float(text):
+    raise AssertionError(f"float {text} in a JSON envelope")
+
+
+def assert_exact_envelope(text, construction):
+    """No JSON number is a float, and no string prints a decimal point
+    outside the dataset's own citation strings."""
+    payload = json.loads(text, parse_float=_no_float)
+    cites = sorted(
+        {construction.citation, *construction.expected_cites.values(),
+         *(exp.cite for exp in construction.script.expectations)} - {""},
+        key=len, reverse=True,
+    )
+
+    def walk(node):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                if key != "version":
+                    walk(value)
+        elif isinstance(node, list):
+            for value in node:
+                walk(value)
+        elif isinstance(node, str):
+            bare = node
+            for cite in cites:
+                bare = bare.replace(cite, "")
+            assert not re.search(r"\d\.\d", bare), node
+
+    walk(payload)
+
+
+def mutated_dataset(tmp_path, construction, path, value):
+    with open(construction.source_path, "r", encoding="utf-8") as handle:
+        data = json.load(handle)
+    node = data
+    for part in path[:-1]:
+        node = node[part]
+    node[path[-1]] = value
+    target = tmp_path / f"{construction.name}-mutant.json"
+    target.write_text(json.dumps(data))
+    return str(target)
+
+
+@pytest.mark.parametrize("dataset", DATASETS)
+def test_envelopes_and_classes_stay_exact(dataset, tmp_path, request):
+    construction = request.getfixturevalue(
+        {"main_k3": "main_construction", "pencil2_k3": "pencil2_construction",
+         "k4": "k4_construction"}[dataset]
+    )
+    for command in COMMANDS:
+        assert_exact_envelope(run_json(command, dataset)[1], construction)
+    replay = Replay(construction)
+    model = replay.model
+    for cls in [model.canonical, replay.pullback, *model.curves.values()]:
+        assert all(type(c) is int for c in cls.coords), cls
+        assert type(cls.denominator) is int
+    assert all(type(v) is int for v in model.gram.values())
+    for ds in replay.discrepancies:
+        assert all(type(d) is Fraction for d in ds)
+    for pairing in (replay.pullback.dot(replay.pullback), replay.summary.k_squared):
+        assert type(pairing) in (int, Fraction)
+    # A failing run prints more numbers; they must be exact too.
+    mutant = mutated_dataset(tmp_path, construction, ("chains", 0, "q"),
+                             construction.chains[0].q + 1)
+    assert_exact_envelope(run_json("verify", "--dataset", mutant)[1], construction)
+
+
+def test_gram_matrix_matches_the_classes(main_construction, k4_construction):
+    for construction in (main_construction, k4_construction):
+        model = Replay(construction).model
+        for a, ca in model.curves.items():
+            for b, cb in model.curves.items():
+                assert model.gram[a, b] == ca.dot(cb), (a, b)
+
+
+def test_expand_in_curves_matches_rational_elimination(main_model):
+    # The fraction-free solve against a plain Fraction solve of the same system.
+    names = ["e1", "e2", "e3", "e7", "L1"]
+    weights = [Fraction(3, 7), Fraction(-2), Fraction(5, 3), Fraction(1, 2), 4]
+    target = main_model.canonical * 0
+    for name, w in zip(names, weights):
+        target = target + w * main_model.curve(name)
+    coefficients = expand_in_curves(main_model, target, names)
+    assert coefficients == dict(zip(names, map(Fraction, weights)))
+    assert all(type(c) is Fraction for c in coefficients.values())
+
+
+def count_calls(monkeypatch, fn):
+    """Count every call of ``fn`` through any ``blowdown`` module binding."""
+    import blowdown.constructions
+    import blowdown.topology
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module in (lattice, contraction, blowdown.constructions,
+                   blowdown.topology, cli):
+        for name, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_verify_replays_once(monkeypatch, main_construction):
+    replays = count_calls(monkeypatch, lattice.new_plane)
+    pullbacks = count_calls(monkeypatch, contraction.pullback_canonical)
+    validations = count_calls(monkeypatch, contraction.validate_embedding)
+    rc, text = run_json("verify", "main_k3")
+    assert rc == 0
+    assert len(replays) == 1
+    assert len(pullbacks) == 1
+    assert len(validations) == len(main_construction.chains) == 4
+
+
+def test_replay_grades_checkpoints_on_its_single_pass(main_construction):
+    replay = Replay(main_construction)
+    assert replay.checkpoints == check_expectations(main_construction.script)
+
+
+def test_failed_stage_fails_each_dependent_check_alike(main_raw):
+    main_raw["chains"][1]["q"] = 4
+    report = verify(parse_construction(main_raw))
+    by_name = {c.name: c for c in report.checks}
+    message = by_name["chain_shapes"].details[0]
+    assert message.startswith("C(19,4): shape")
+    for name in ("discrepancies", "adjunction", "orthogonality", "k_squared",
+                 "pullback_expansion", "nef_table", "invariants",
+                 "rationality_exclusion"):
+        assert by_name[name].status == "fail"
+        assert by_name[name].details[0] == message
+
+
+@pytest.mark.parametrize("dataset,edge", [("main_k3", 2), ("k4", 0)])
+def test_residual_pi1_fails_with_citation(dataset, edge, tmp_path, request):
+    construction = request.getfixturevalue(
+        {"main_k3": "main_construction", "k4": "k4_construction"}[dataset]
+    )
+    mutant = mutated_dataset(
+        tmp_path, construction, ("graph", "edges", edge, "power_b"), 2
+    )
+    rc, text = run_json("verify", "--dataset", mutant)
+    assert rc == 1
+    checks = {c["name"]: c for c in json.loads(text)["result"]["checks"]}
+    source = f"source: {construction.citation}"
+    for name in ("pi1_closure", "invariants"):
+        assert checks[name]["status"] == "fail"
+        assert source in checks[name]["details"]
+    assert any("fingerprint: computed None" in d
+               for d in checks["invariants"]["details"])
+
+
+def test_zero_on_contracted_is_graded(main_raw, main_construction):
+    main_raw["expected"]["zero_on_contracted"]["value"] = False
+    report = verify(parse_construction(main_raw))
+    nef = {c.name: c for c in report.checks}["nef_table"]
+    assert not report.ok
+    assert nef.status == "fail"
+    assert any("zero_on_contracted is recorded as false" in d for d in nef.details)
+    assert f"source: {main_construction.citation}" in nef.details

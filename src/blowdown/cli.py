@@ -33,7 +33,12 @@ from .tchains import (
     hj_expand,
     wahl_params,
 )
-from .topology import meridian_powers, pi1_closure, rationality_exclusion
+from .topology import (
+    meridian_powers,
+    parse_graph,
+    pi1_closure,
+    rationality_exclusion,
+)
 
 __all__ = ["main"]
 
@@ -188,8 +193,8 @@ def _cmd_tchain_check(args) -> int:
     return 0
 
 
-def _dataset_command(run, failure: str):
-    """A subcommand that reads one construction through a :class:`Replay`.
+def _dataset_command(sub, name: str, help_text: str, run, failure: str):
+    """Add a subcommand that reads one construction through a :class:`Replay`.
 
     Usage and input errors exit 2; a stage of the replay that fails ends
     the command with ``failure`` and exit 1.
@@ -210,7 +215,12 @@ def _dataset_command(run, failure: str):
             print(f"{failure}: {exc}", file=sys.stderr)
             return 1
 
-    return handler
+    command = sub.add_parser(name, help=help_text)
+    command.add_argument("construction", nargs="?")
+    command.add_argument("--dataset", help="path to a construction JSON file")
+    command.add_argument("--json", action="store_true")
+    command.set_defaults(handler=handler)
+    return command
 
 
 def _cmd_contract(args, replay: Replay) -> int:
@@ -312,48 +322,29 @@ def _cmd_invariants(args, replay: Replay) -> int:
     return 0
 
 
+def _load_graph(source: str):
+    """The connection graph and input digest of a graph file (a JSON object
+    with ``nodes``) or, failing that, of a construction."""
+    if source.endswith(".json"):
+        with open(source, "rb") as handle:
+            raw = handle.read()
+        data = json.loads(raw.decode("utf-8"))
+        if isinstance(data, dict) and "nodes" in data:
+            return parse_graph(data), hashlib.sha256(raw).hexdigest()
+    construction = load_construction(source)
+    if construction.graph is None:
+        raise ValueError("no connection graph in this dataset")
+    return construction.graph, construction.sha256
+
+
 def _cmd_pi1(args) -> int:
-    if args.dataset and args.graph:
-        print(
-            "error: give either a graph source or --dataset, not both",
-            file=sys.stderr,
-        )
+    source = _resolve_source(args)
+    if source is None:
         return 2
-    source = args.dataset or args.graph
-    if not source:
-        print(
-            "error: name a graph file, a construction, or pass --dataset <path>",
-            file=sys.stderr,
-        )
-        return 2
-    graph = None
-    digest: Union[str, None] = None
     try:
-        if source.endswith(".json"):
-            with open(source, "rb") as handle:
-                raw = handle.read()
-            digest = hashlib.sha256(raw).hexdigest()
-            data = json.loads(raw.decode("utf-8"))
-            if "nodes" in data:
-                from .topology import parse_graph
-
-                graph = parse_graph(data)
-            else:
-                from .constructions import parse_construction
-
-                construction = parse_construction(
-                    data, source_path=source, sha256=digest
-                )
-                graph = construction.graph
-        else:
-            construction = load_construction(source)
-            digest = construction.sha256
-            graph = construction.graph
-    except (FileNotFoundError, ValueError, KeyError) as exc:
+        graph, digest = _load_graph(source)
+    except (FileNotFoundError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if graph is None:
-        print("error: no connection graph in this dataset", file=sys.stderr)
         return 2
     result = pi1_closure(graph)
     if args.json:
@@ -444,34 +435,24 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--json", action="store_true")
     check.set_defaults(handler=_cmd_tchain_check)
 
-    contract = sub.add_parser(
-        "contract", help="contract the chains of a construction"
+    contract = _dataset_command(
+        sub, "contract", "contract the chains of a construction",
+        _cmd_contract, "contraction fails",
     )
-    contract.add_argument("construction", nargs="?")
-    contract.add_argument("--dataset", help="path to a construction JSON file")
     contract.add_argument(
         "--report", choices=("text", "json"), default="text"
     )
-    contract.add_argument("--json", action="store_true")
-    contract.set_defaults(
-        handler=_dataset_command(_cmd_contract, "contraction fails")
-    )
-
-    invariants = sub.add_parser(
-        "invariants", help="invariants of the blown-down surface"
-    )
-    invariants.add_argument("construction", nargs="?")
-    invariants.add_argument("--dataset", help="path to a construction JSON file")
-    invariants.add_argument("--json", action="store_true")
-    invariants.set_defaults(
-        handler=_dataset_command(_cmd_invariants, "invariants unavailable")
+    _dataset_command(
+        sub, "invariants", "invariants of the blown-down surface",
+        _cmd_invariants, "invariants unavailable",
     )
 
     pi1 = sub.add_parser(
         "pi1", help="run the fundamental group closure on a connection graph"
     )
     pi1.add_argument(
-        "graph", nargs="?", help="graph JSON file or construction name"
+        "construction", nargs="?", metavar="graph",
+        help="graph JSON file or construction name",
     )
     pi1.add_argument(
         "--dataset", help="path to a graph or construction JSON file"
@@ -479,14 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
     pi1.add_argument("--json", action="store_true")
     pi1.set_defaults(handler=_cmd_pi1)
 
-    verify_cmd = sub.add_parser(
-        "verify", help="replay a construction and grade every recorded value"
-    )
-    verify_cmd.add_argument("construction", nargs="?")
-    verify_cmd.add_argument("--dataset", help="path to a construction JSON file")
-    verify_cmd.add_argument("--json", action="store_true")
-    verify_cmd.set_defaults(
-        handler=_dataset_command(_cmd_verify, "verification fails")
+    _dataset_command(
+        sub, "verify", "replay a construction and grade every recorded value",
+        _cmd_verify, "verification fails",
     )
 
     list_cmd = sub.add_parser("list", help="list available constructions")

@@ -59,9 +59,16 @@ class ChainEmbedding:
     def label(self) -> str:
         return f"C({self.p},{self.q})"
 
-    @property
-    def expected_chain(self) -> tuple[int, ...]:
-        return hj_expand(self.p * self.p, self.p * self.q - 1)
+    def match(self, bs: tuple[int, ...]) -> tuple[int, ...]:
+        """``bs``, checked to be the expansion of ``p^2/(pq - 1)``, whose
+        chain determinant is ``p^2`` (the boundary lens space)."""
+        expected_bs = hj_expand(self.p * self.p, self.p * self.q - 1)
+        if bs != expected_bs:
+            raise ContractionError(
+                f"{self.label}: shape {bs} does not match the expansion "
+                f"{expected_bs} of {self.p}^2/({self.p}*{self.q} - 1)"
+            )
+        return bs
 
 
 def chain_shape(model: SurfaceModel, curves: Sequence[str]) -> tuple[int, ...]:
@@ -105,17 +112,9 @@ def validate_embedding(
 
     Verifies that the curves are distinct, consecutive ones meet once,
     non-consecutive ones are disjoint, and the shape matches the continued
-    fraction of ``p^2/(pq - 1)``, whose chain determinant is ``p^2`` (the
-    boundary lens space).
+    fraction of ``p^2/(pq - 1)`` (see :meth:`ChainEmbedding.match`).
     """
-    bs = _tridiagonal_shape(model, emb.label, emb.curves)
-    expected_bs = emb.expected_chain
-    if bs != expected_bs:
-        raise ContractionError(
-            f"{emb.label}: shape {bs} does not match "
-            f"the expansion {expected_bs} of {emb.p}^2/({emb.p}*{emb.q} - 1)"
-        )
-    return bs
+    return emb.match(_tridiagonal_shape(model, emb.label, emb.curves))
 
 
 @dataclass(frozen=True)
@@ -153,7 +152,8 @@ def check_artin(
     intersection matrix must satisfy ``(-1)^j m_j > 0``, and the full
     determinant must be ``(-1)^k p^2``.  The matrix of a chain is
     tridiagonal, so ``m_j`` is ``(-1)^j`` times the j-th continuant of its
-    shape.  Distinct chains must not meet.
+    shape.  Distinct chains must not meet.  The shape each certificate
+    records is read off the model without the recorded ``(p, q)``.
     """
     certificates = []
     for emb in embeddings:
@@ -234,22 +234,15 @@ def pullback_canonical(
     """The pullback of the contracted surface's canonical class.
 
     Computes ``K + sum of d_i G_i`` over every chain, after validating each
-    embedding (or taking its validated shape from ``shapes``) and checking
-    adjunction ``K . G_i = b_i - 2`` on every chain curve.  The sum is
+    embedding (or taking its validated shape from ``shapes``).  The sum is
     taken in integers over the common denominator of the discrepancies.
-    The result is orthogonal to each contracted curve by construction; this
-    is asserted as a consistency check on the solver.
+    Orthogonality to every contracted curve defines the pullback and is
+    asserted; it fails when adjunction ``K . G_i = b_i - 2``, which the
+    discrepancies assume, fails on a chain curve, or when two chains meet.
     """
     terms = []
     for index, emb in enumerate(embeddings):
         bs = validate_embedding(model, emb) if shapes is None else shapes[index]
-        for name, b in zip(emb.curves, bs):
-            pairing = model.intersect(model.canonical, name)
-            if pairing != b - 2:
-                raise ContractionError(
-                    f"{emb.label}: adjunction fails on {name}, "
-                    f"K . {name} = {pairing}, expected {b - 2}"
-                )
         terms.extend(zip(emb.curves, chain_discrepancies(bs)))
     den = lcm(*(d.denominator for _, d in terms))
     coords = [den * c for c in model.canonical.coords]

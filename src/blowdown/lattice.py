@@ -146,7 +146,6 @@ class SurfaceModel:
     curves: Mapping[str, DivisorClass]
     canonical: DivisorClass
     gram: Mapping[tuple[str, str], int]
-    history: tuple[BlowupStep, ...] = ()
 
     @property
     def lattice_rank(self) -> int:
@@ -182,10 +181,6 @@ class SurfaceModel:
         Every blow-up adds its exceptional class to the canonical class, so
         this is ``-3h + e_1 + ... + e_step`` and needs no replay.
         """
-        if not 0 <= step <= self.blowup_count:
-            raise ValueError(
-                f"base_surface_step {step} beyond the end of the script"
-            )
         return DivisorClass(
             (-3,) + (1,) * step + (0,) * (self.blowup_count - step)
         )
@@ -256,13 +251,11 @@ def blow_up(
     for curve_name in model.curves:
         gram[name, curve_name] = gram[curve_name, name] = mults.get(curve_name, 0)
     gram[name, name] = -1
-    step = BlowupStep(name=name, center=tuple((c, m) for c, m in at))
     return SurfaceModel(
         blowup_count=model.blowup_count + 1,
         curves=curves,
         canonical=DivisorClass(model.canonical.coords + (1,)),
         gram=gram,
-        history=model.history + (step,),
     )
 
 
@@ -330,20 +323,13 @@ class Expectation:
             return Fraction(self.self_int)  # type: ignore[arg-type]
         return Fraction(self.intersection)  # type: ignore[arg-type]
 
-    def evaluate(self, model: SurfaceModel) -> Rational:
-        if self.curve is not None:
-            return model.self_intersection(self.curve)
-        a, b = self.curves  # type: ignore[misc]
-        return model.intersect(a, b)
-
     def grade(self, model: SurfaceModel) -> tuple["Expectation", Rational, bool]:
-        actual = self.evaluate(model)
+        """This checkpoint, its value on ``model`` and whether they agree."""
+        if self.curve is not None:
+            actual = model.self_intersection(self.curve)
+        else:
+            actual = model.intersect(*self.curves)  # type: ignore[misc]
         return self, actual, actual == self.expected_value()
-
-    def check(self, model: SurfaceModel) -> None:
-        actual = self.evaluate(model)
-        if actual != self.expected_value():
-            raise ExpectationError(self, actual)
 
 
 @dataclass(frozen=True)
@@ -469,7 +455,9 @@ def run_script(script: Script, *, check: bool = True) -> SurfaceModel:
     by_step = script.checkpoints() if check else {}
     for i, model in iter_models(script):
         for exp in by_step.get(i, ()):
-            exp.check(model)
+            _, actual, ok = exp.grade(model)
+            if not ok:
+                raise ExpectationError(exp, actual)
     return model
 
 

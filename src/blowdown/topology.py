@@ -17,8 +17,7 @@ every forcing step.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Mapping, Sequence, Union
@@ -32,7 +31,6 @@ __all__ = [
     "GraphEdge",
     "ConnectionGraph",
     "parse_graph",
-    "load_graph",
     "meridian_powers",
     "ClosureStep",
     "Pi1Result",
@@ -89,50 +87,49 @@ class ConnectionGraph:
     edges: tuple[GraphEdge, ...]
     reconstructed: bool = False
 
-    def node(self, name: str) -> GraphNode:
-        for node in self.nodes:
-            if node.name == name:
-                return node
-        raise KeyError(f"no graph node named {name!r}")
 
-    def orders(self) -> dict[str, int]:
-        return {node.name: node.order for node in self.nodes}
+def _count(value, path: str) -> int:
+    """A positive integer field of a graph; errors name its path."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{path} must be an integer")
+    if value < 1:
+        raise ValueError(f"{path} must be positive, got {value}")
+    return value
 
 
 def parse_graph(data: Mapping) -> ConnectionGraph:
+    """Build a graph from its JSON object form; an order, ``p``, ``q`` or
+    meridian power that is not a positive integer raises ``ValueError``."""
     parsed = []
-    for n in data["nodes"]:
-        name = str(n["name"])
+    for i, n in enumerate(data["nodes"]):
+        name, path = str(n["name"]), f"graph.nodes[{i}]"
         if "order" in n:
-            order = int(n["order"])
-            if order < 1:
-                raise ValueError(f"node {name!r} has non-positive order {order}")
+            order = _count(n["order"], f"{path}.order")
             parsed.append(GraphNode(name=name, explicit_order=order))
         else:
-            parsed.append(GraphNode(name=name, p=int(n["p"]), q=int(n["q"])))
+            parsed.append(GraphNode(
+                name=name, p=_count(n.get("p"), f"{path}.p"),
+                q=_count(n.get("q"), f"{path}.q"),
+            ))
     nodes = tuple(parsed)
     names = {n.name for n in nodes}
     if len(names) != len(nodes):
         raise ValueError("graph has duplicate node names")
     edges = []
-    for e in data["edges"]:
+    for i, e in enumerate(data["edges"]):
         a, b = str(e["a"]), str(e["b"])
         if a not in names or b not in names:
             raise ValueError(f"edge {a!r} -- {b!r} mentions an unknown node")
-        power_a, power_b = int(e["power_a"]), int(e["power_b"])
-        if power_a < 1 or power_b < 1:
-            raise ValueError(f"edge {a!r} -- {b!r} has a non-positive power")
-        edges.append(GraphEdge(a=a, b=b, power_a=power_a, power_b=power_b))
+        edges.append(GraphEdge(
+            a=a, b=b,
+            power_a=_count(e.get("power_a"), f"graph.edges[{i}].power_a"),
+            power_b=_count(e.get("power_b"), f"graph.edges[{i}].power_b"),
+        ))
     return ConnectionGraph(
         nodes=nodes,
         edges=tuple(edges),
         reconstructed=bool(data.get("reconstructed", False)),
     )
-
-
-def load_graph(path: str) -> ConnectionGraph:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_graph(json.load(handle))
 
 
 def meridian_powers(bs: Sequence[int]) -> tuple[int, ...]:
@@ -205,7 +202,7 @@ def pi1_closure(graph: ConnectionGraph) -> Pi1Result:
     that the glued manifold is simply connected, provided the ambient
     complement contributes no extra generators.
     """
-    orders = graph.orders()
+    orders = {node.name: node.order for node in graph.nodes}
     steps: list[ClosureStep] = []
     changed = True
     while changed:
@@ -274,7 +271,10 @@ class SurfaceSummary:
     parity: str
     parity_reason: str
     pi1_trivial: Union[bool, None]
-    fingerprint: Union[str, None]
+
+    @property
+    def fingerprint(self) -> Union[str, None]:
+        return fingerprint(self)
 
 
 def _parity(
@@ -369,7 +369,7 @@ def blowdown_invariants(
     parity, parity_reason = _parity(
         model, embeddings, signature, b2_plus, b2_minus, parity_override
     )
-    summary = SurfaceSummary(
+    return SurfaceSummary(
         k_squared=k_squared,
         euler=euler,
         signature=signature,
@@ -380,9 +380,7 @@ def blowdown_invariants(
         parity=parity,
         parity_reason=parity_reason,
         pi1_trivial=pi1_trivial,
-        fingerprint=None,
     )
-    return replace(summary, fingerprint=fingerprint(summary))
 
 
 def fingerprint(summary: SurfaceSummary) -> Union[str, None]:

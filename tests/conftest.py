@@ -43,6 +43,25 @@ def main_raw(main_construction):
 
 
 @pytest.fixture()
+def write_mutant(tmp_path):
+    """Writes a copy of a dataset with the field at ``path`` set to
+    ``value`` and returns the copy's path."""
+
+    def write(construction, path, value):
+        with open(construction.source_path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+        node = data
+        for part in path[:-1]:
+            node = node[part]
+        node[path[-1]] = value
+        target = tmp_path / f"{construction.name}-mutant.json"
+        target.write_text(json.dumps(data))
+        return str(target)
+
+    return write
+
+
+@pytest.fixture()
 def pencil2_raw(pencil2_construction):
     with open(pencil2_construction.source_path, "r", encoding="utf-8") as handle:
         return json.load(handle)

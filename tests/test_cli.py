@@ -238,3 +238,62 @@ def test_recorded_table_that_is_an_array_exits_2(tmp_path, main_construction):
     result = run_cli("verify", "--dataset", str(path))
     assert result.returncode == 2
     assert "expected.canonical_relation must be an object" in result.stderr
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("expected", "k_squared", "value"), "abc",
+     "expected.k_squared must be an integer or a fraction string, got 'abc'"),
+    (("expected", "discrepancies", "values", "C(7,1)", 2), [1],
+     "expected.discrepancies.C(7,1)[2] must be an integer or a fraction"),
+    (("errata", "nef_values", "E2''"), "4/0",
+     "errata.nef_values.E2'' must be an integer or a fraction string"),
+    (("expected", "pi1_trivial", "value"), "yes",
+     "expected.pi1_trivial must be a boolean"),
+    (("graph", "nodes", 0, "q"), "x", "graph.nodes[0].q must be an integer"),
+], ids=["k_squared", "discrepancy", "erratum", "pi1_trivial", "graph_node_q"])
+def test_malformed_recorded_field_exits_2(write_mutant, main_construction, path,
+                                          value, message):
+    result = run_cli("verify", "--dataset",
+                     write_mutant(main_construction, path, value))
+    assert result.returncode == 2
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("dataset,steps", [
+    ("main_k3", 30), ("pencil2_k3", 19), ("k4", 27),
+])
+def test_base_surface_step_beyond_the_script_exits_2(write_mutant, dataset, steps,
+                                                     request):
+    construction = request.getfixturevalue(f"{dataset.split('_')[0]}_construction")
+    result = run_cli("verify", "--dataset", write_mutant(
+        construction, ("base_surface_step",), 999))
+    assert result.returncode == 2
+    assert (f"base_surface_step must lie between 0 and the script's {steps} "
+            "steps, got 999") in result.stderr
+
+
+@pytest.mark.parametrize("command", ["verify", "pi1"])
+def test_graph_node_with_zero_p_and_q_exits_2(write_mutant, main_construction,
+                                              command):
+    path = write_mutant(main_construction, ("graph", "nodes", 0),
+                        {"name": "C(35,6)", "p": 0, "q": 0})
+    result = run_cli(command, "--dataset", path)
+    assert result.returncode == 2
+    assert "graph.nodes[0].p must be positive, got 0" in result.stderr
+
+
+@pytest.mark.parametrize("dataset", ["main_k3", "pencil2_k3", "k4"])
+def test_graph_node_must_carry_its_chains_parameters(write_mutant, dataset,
+                                                     request):
+    construction = request.getfixturevalue(f"{dataset.split('_')[0]}_construction")
+    node = construction.graph.nodes[0]
+    path = write_mutant(construction, ("graph", "nodes", 0, "p"), node.p + 2)
+    result = run_cli("verify", "--dataset", path, "--json")
+    assert result.returncode == 1
+    checks = {c["name"]: c for c in json.loads(result.stdout)["result"]["checks"]}
+    pi1 = checks["pi1_closure"]
+    assert pi1["status"] == "fail"
+    assert (f"graph node {node.name} carries (p, q) = ({node.p + 2}, {node.q}), "
+            f"but its chain has ({node.p}, {node.q})") in pi1["details"]
+    assert f"source: {construction.citation}" in pi1["details"]

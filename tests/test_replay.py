@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import blowdown.cli as cli
+import blowdown.topology as topology
 from blowdown import (
     Replay,
     check_expectations,
@@ -73,20 +74,8 @@ def assert_exact_envelope(text, construction):
     walk(payload)
 
 
-def mutated_dataset(tmp_path, construction, path, value):
-    with open(construction.source_path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    node = data
-    for part in path[:-1]:
-        node = node[part]
-    node[path[-1]] = value
-    target = tmp_path / f"{construction.name}-mutant.json"
-    target.write_text(json.dumps(data))
-    return str(target)
-
-
 @pytest.mark.parametrize("dataset", DATASETS)
-def test_envelopes_and_classes_stay_exact(dataset, tmp_path, request):
+def test_envelopes_and_classes_stay_exact(dataset, write_mutant, request):
     construction = request.getfixturevalue(
         {"main_k3": "main_construction", "pencil2_k3": "pencil2_construction",
          "k4": "k4_construction"}[dataset]
@@ -104,8 +93,8 @@ def test_envelopes_and_classes_stay_exact(dataset, tmp_path, request):
     for pairing in (replay.pullback.dot(replay.pullback), replay.summary.k_squared):
         assert type(pairing) in (int, Fraction)
     # A failing run prints more numbers; they must be exact too.
-    mutant = mutated_dataset(tmp_path, construction, ("chains", 0, "q"),
-                             construction.chains[0].q + 1)
+    mutant = write_mutant(construction, ("chains", 0, "q"),
+                          construction.chains[0].q + 1)
     assert_exact_envelope(run_json("verify", "--dataset", mutant)[1], construction)
 
 
@@ -152,11 +141,34 @@ def test_one_verify_replays_once(monkeypatch, main_construction):
     replays = count_calls(monkeypatch, lattice.new_plane)
     pullbacks = count_calls(monkeypatch, contraction.pullback_canonical)
     validations = count_calls(monkeypatch, contraction.validate_embedding)
+    readings = count_calls(monkeypatch, contraction.chain_shape)
+    closures = count_calls(monkeypatch, topology.pi1_closure)
     rc, text = run_json("verify", "main_k3")
     assert rc == 0
     assert len(replays) == 1
     assert len(pullbacks) == 1
-    assert len(validations) == len(main_construction.chains) == 4
+    # One reading of each chain serves chain_shapes and artin_contractibility;
+    # the replay matches it to (p, q) without validate_embedding's own read.
+    assert [args[1] for args in readings] == [
+        emb.curves for emb in main_construction.chains
+    ]
+    assert len(validations) == 0
+    assert len(closures) == 1
+
+
+def test_checkpoint_that_raises_does_not_replay_again(monkeypatch, main_raw):
+    main_raw["expectations"][0]["curve"] = "nosuchcurve"
+    construction = parse_construction(main_raw)
+    replays = count_calls(monkeypatch, lattice.new_plane)
+    report = verify(construction)
+    assert len(replays) == 1
+    by_name = {c.name: c for c in report.checks}
+    script = by_name["script_expectations"]
+    assert script.status == "fail"
+    assert "no curve named 'nosuchcurve'" in script.details[0]
+    assert [c.name for c in report.checks if c.status == "fail"] == [
+        "script_expectations"
+    ]
 
 
 def test_replay_grades_checkpoints_on_its_single_pass(main_construction):
@@ -178,12 +190,12 @@ def test_failed_stage_fails_each_dependent_check_alike(main_raw):
 
 
 @pytest.mark.parametrize("dataset,edge", [("main_k3", 2), ("k4", 0)])
-def test_residual_pi1_fails_with_citation(dataset, edge, tmp_path, request):
+def test_residual_pi1_fails_with_citation(dataset, edge, write_mutant, request):
     construction = request.getfixturevalue(
         {"main_k3": "main_construction", "k4": "k4_construction"}[dataset]
     )
-    mutant = mutated_dataset(
-        tmp_path, construction, ("graph", "edges", edge, "power_b"), 2
+    mutant = write_mutant(
+        construction, ("graph", "edges", edge, "power_b"), 2
     )
     rc, text = run_json("verify", "--dataset", mutant)
     assert rc == 1
@@ -204,3 +216,23 @@ def test_zero_on_contracted_is_graded(main_raw, main_construction):
     assert nef.status == "fail"
     assert any("zero_on_contracted is recorded as false" in d for d in nef.details)
     assert f"source: {main_construction.citation}" in nef.details
+
+
+def test_adjunction_failure_fails_the_pullback_checks():
+    # A smooth cubic through 13 blown-up points has square -4, the shape of
+    # C(2,1), but genus one: K . C = 4 where adjunction asks for 2.  The
+    # pullback's orthogonality assertion is what then stops the later checks.
+    report = verify(parse_construction({
+        "name": "genus-one", "citation": "synthetic", "base_curves": {"C": 3},
+        "steps": [{"at": [["C", 1]]} for _ in range(13)],
+        "chains": [{"p": 2, "q": 1, "curves": ["C"]}],
+    }))
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["chain_shapes"].status == "pass"
+    assert "C(2,1): K . C = 4, expected 2" in by_name["adjunction"].details
+    for name in ("adjunction", "orthogonality", "k_squared", "nef_table",
+                 "invariants"):
+        assert by_name[name].status == "fail", name
+    assert by_name["orthogonality"].details[0] == (
+        "pullback not orthogonal to contracted curve C: 2"
+    )

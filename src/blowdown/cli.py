@@ -25,13 +25,15 @@ from .constructions import (
     Replay,
     available_constructions,
     load_construction,
+    parse_construction,
+    read_dataset,
 )
 from .tchains import (
     classify_chain,
-    general_params,
-    generate_class_t,
+    fraction_terms,
     hj_expand,
-    wahl_params,
+    iter_class_t,
+    wahl_chain_length,
 )
 from .topology import (
     meridian_powers,
@@ -41,6 +43,14 @@ from .topology import (
 )
 
 __all__ = ["main"]
+
+MAX_CHAIN_LENGTH = 1000
+"""Longest chain ``cpq`` expands; the chain's length grows like ``p/q``."""
+
+MAX_GEN_LENGTH = 17
+"""Largest ``tchain gen --max-len``: there are ``2**L - 1`` chains of
+length ``L``, and ``--json`` holds every record in memory until it prints
+them (about 760 MiB at 17)."""
 
 
 def _digest_args(payload) -> str:
@@ -91,6 +101,14 @@ def _cmd_cpq(args) -> int:
             file=sys.stderr,
         )
         return 2
+    length = wahl_chain_length(p, q)
+    if length > MAX_CHAIN_LENGTH:
+        print(
+            f"error: the chain of p={p}, q={q} has {length} curves, "
+            f"more than {MAX_CHAIN_LENGTH}",
+            file=sys.stderr,
+        )
+        return 2
     try:
         chain = hj_expand(p * p, p * q - 1)
     except ValueError as exc:
@@ -123,40 +141,55 @@ def _cmd_cpq(args) -> int:
     return 0
 
 
-def _chain_record(chain: tuple[int, ...]) -> dict:
-    d, n, a = general_params(chain)
-    record: dict = {
-        "chain": list(chain),
-        "d": d,
-        "n": n,
-        "a": a,
-    }
-    if d == 1:
-        p, q = wahl_params(chain)
-        record["p"] = p
-        record["q"] = q
-    return record
+def _tchain_records(pairs):
+    """A record per ``(chain, (d, n, a))``, each checked against the
+    chain's own fraction, which must be ``dn^2 / (dna - 1)``."""
+    for chain, (d, n, a) in pairs:
+        terms = fraction_terms(chain)
+        if terms != (d * n * n, d * n * a - 1):
+            raise ArithmeticError(
+                f"chain {list(chain)} has fraction {terms[0]}/{terms[1]}, "
+                f"not dn^2/(dna - 1) for (d, n, a) = ({d}, {n}, {a})"
+            )
+        record = {"chain": chain, "d": d, "n": n, "a": a}
+        if d == 1:
+            record["p"], record["q"] = n, a
+        yield record
+
+
+def _params_line(record: dict) -> str:
+    line = f"d={record['d']} n={record['n']} a={record['a']}"
+    if "p" in record:
+        line += f" (Wahl p={record['p']} q={record['q']})"
+    return line
 
 
 def _cmd_tchain_gen(args) -> int:
-    if args.max_len < 1:
-        print("error: --max-len must be at least 1", file=sys.stderr)
-        return 2
-    chains = generate_class_t(args.max_len)
-    records = [_chain_record(chain) for chain in chains]
-    if args.json:
-        _emit_json(
-            "tchain gen",
-            _digest_args({"max_len": args.max_len}),
-            {"max_len": args.max_len, "count": len(records), "chains": records},
+    if not 1 <= args.max_len <= MAX_GEN_LENGTH:
+        print(
+            f"error: --max-len must lie between 1 and {MAX_GEN_LENGTH}, "
+            f"got {args.max_len}",
+            file=sys.stderr,
         )
-        return 0
-    for record in records:
-        tail = f"d={record['d']} n={record['n']} a={record['a']}"
-        if "p" in record:
-            tail += f" (Wahl p={record['p']} q={record['q']})"
-        print(f"{record['chain']}  {tail}")
-    print(f"{len(records)} chains of length <= {args.max_len}")
+        return 2
+    records = _tchain_records(iter_class_t(args.max_len))
+    try:
+        if args.json:
+            records = list(records)
+            _emit_json(
+                "tchain gen",
+                _digest_args({"max_len": args.max_len}),
+                {"max_len": args.max_len, "count": len(records),
+                 "chains": records},
+            )
+            return 0
+        count = 0
+        for count, record in enumerate(records, start=1):
+            print(f"{list(record['chain'])}  {_params_line(record)}")
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(f"{count} chains of length <= {args.max_len}")
     return 0
 
 
@@ -174,20 +207,19 @@ def _cmd_tchain_check(args) -> int:
     if result.is_class_t:
         payload["base"] = list(result.base or ())
         payload["moves"] = list(result.moves)
-        payload.update(
-            {k: v for k, v in _chain_record(result.chain).items() if k != "chain"}
-        )
+        try:
+            (record,) = _tchain_records([(result.chain, result.params)])
+        except ArithmeticError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        payload.update({k: v for k, v in record.items() if k != "chain"})
     if args.json:
         _emit_json("tchain check", _digest_args({"entries": args.entries}), payload)
         return 0
     if result.is_class_t:
         print(f"{list(result.chain)}: class T ({result.kind})")
         print(f"base {list(result.base or ())}, moves {list(result.moves)}")
-        d, n, a = payload["d"], payload["n"], payload["a"]
-        line = f"d={d} n={n} a={a}"
-        if "p" in payload:
-            line += f" (Wahl p={payload['p']} q={payload['q']})"
-        print(line)
+        print(_params_line(payload))
     else:
         print(f"{list(result.chain)}: {result.kind}")
     return 0
@@ -226,11 +258,11 @@ def _dataset_command(sub, name: str, help_text: str, run, failure: str):
 def _cmd_contract(args, replay: Replay) -> int:
     construction, model = replay.construction, replay.model
     chains = list(zip(construction.chains, replay.shapes, replay.discrepancies))
-    pullback = replay.pullback
     nef = nef_values(
-        model, construction.chains, construction.nef_test_curves, pullback
+        model, construction.chains, construction.nef_test_curves,
+        replay.pullback,
     )
-    k2 = pullback.dot(pullback)
+    k2 = replay.k_squared
     k2_res = model.canonical_self_intersection()
     expansion: Union[dict, None]
     try:
@@ -325,13 +357,10 @@ def _cmd_invariants(args, replay: Replay) -> int:
 def _load_graph(source: str):
     """The connection graph and input digest of a graph file (a JSON object
     with ``nodes``) or, failing that, of a construction."""
-    if source.endswith(".json"):
-        with open(source, "rb") as handle:
-            raw = handle.read()
-        data = json.loads(raw.decode("utf-8"))
-        if isinstance(data, dict) and "nodes" in data:
-            return parse_graph(data), hashlib.sha256(raw).hexdigest()
-    construction = load_construction(source)
+    data, path, digest = read_dataset(source)
+    if isinstance(data, dict) and "nodes" in data:
+        return parse_graph(data), digest
+    construction = parse_construction(data, source_path=path, sha256=digest)
     if construction.graph is None:
         raise ValueError("no connection graph in this dataset")
     return construction.graph, construction.sha256
@@ -343,7 +372,7 @@ def _cmd_pi1(args) -> int:
         return 2
     try:
         graph, digest = _load_graph(source)
-    except (FileNotFoundError, ValueError, KeyError, TypeError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     result = pi1_closure(graph)

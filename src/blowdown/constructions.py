@@ -59,6 +59,7 @@ __all__ = [
     "data_dir",
     "available_constructions",
     "parse_construction",
+    "read_dataset",
     "load_construction",
     "build_model",
     "pullback_expansion",
@@ -281,8 +282,9 @@ def parse_construction(
     )
 
 
-def load_construction(name_or_path: Union[str, Path]) -> Construction:
-    """Load a built-in dataset by name, or any dataset by file path."""
+def read_dataset(name_or_path: Union[str, Path]) -> tuple[object, str, str]:
+    """The decoded JSON, path and sha256 digest of a built-in dataset by
+    name, or of any JSON file by path; the file is read once."""
     candidate = Path(name_or_path)
     if candidate.suffix == ".json" and candidate.exists():
         path = candidate
@@ -295,11 +297,14 @@ def load_construction(name_or_path: Union[str, Path]) -> Construction:
                 f"(available: {known})"
             )
     raw = path.read_bytes()
-    digest = hashlib.sha256(raw).hexdigest()
     data = json.loads(raw.decode("utf-8"))
-    return parse_construction(
-        data, source_path=str(path), sha256=digest
-    )
+    return data, str(path), hashlib.sha256(raw).hexdigest()
+
+
+def load_construction(name_or_path: Union[str, Path]) -> Construction:
+    """Load a built-in dataset by name, or any dataset by file path."""
+    data, path, digest = read_dataset(name_or_path)
+    return parse_construction(data, source_path=path, sha256=digest)
 
 
 def build_model(construction: Construction) -> SurfaceModel:
@@ -458,6 +463,11 @@ class Replay:
         )
 
     @cached_property
+    def k_squared(self):
+        """``K^2`` of the contracted surface: the pullback's square."""
+        return self.pullback.dot(self.pullback)
+
+    @cached_property
     def relation(self):
         """``K`` minus the base surface's ``K``, expanded over the recorded
         canonical relation support."""
@@ -515,7 +525,7 @@ class Replay:
             self.model,
             construction.chains,
             parity_override=construction.parity_override,
-            pullback=self.pullback,
+            k_squared=self.k_squared,
         )
         if construction.graph is None:
             return summary
@@ -702,8 +712,7 @@ def _k_squared_check(replay: Replay):
     recorded = construction.recorded
     status = "pass"
     details = []
-    pullback = replay.pullback
-    k2 = pullback.dot(pullback)
+    k2 = replay.k_squared
     k2_res = model.canonical_self_intersection()
     total_length = sum(len(emb.curves) for emb in construction.chains)
     details.append(

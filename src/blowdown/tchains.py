@@ -13,7 +13,12 @@ Chains of class T are the ones whose contraction admits a smoothing with
 Milnor number zero.  They are generated from ``(4,)`` and
 ``(3, 2, ..., 2, 3)`` by two end moves, and are equivalently characterised
 by an arithmetic normal form ``dn^2 / (dna - 1)``; both descriptions are
-implemented here so each can check the other.
+implemented here so each can check the other.  The generator
+:func:`iter_class_t` carries ``(d, n, a)`` along the moves: a base
+``(4,)`` is ``(1, 2, 1)``, a base ``(3, 2, ..., 2, 3)`` of length ``L`` is
+``(L, 2, 1)``, the left move sends ``(d, n, a)`` to ``(d, 2n - a, n)`` and
+the right move sends it to ``(d, n + a, a)``.  The search in
+:func:`general_params` derives the same triple from the fraction alone.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from typing import Iterator, Sequence
 __all__ = [
     "hj_expand",
     "hj_value",
+    "fraction_terms",
     "continuants",
     "chain_determinant",
     "extend_left",
@@ -33,9 +39,11 @@ __all__ = [
     "ClassTResult",
     "classify_chain",
     "is_class_t",
+    "iter_class_t",
     "generate_class_t",
     "general_params",
     "wahl_params",
+    "wahl_chain_length",
 ]
 
 
@@ -69,17 +77,31 @@ def hj_expand(p: int, q: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _continuant(chain: Sequence[int]) -> int:
+    prev, cur = 0, 1
+    for b in chain:
+        prev, cur = cur, b * cur - prev
+    return cur
+
+
+def fraction_terms(bs: Sequence[int]) -> tuple[int, int]:
+    """Numerator and denominator of :func:`hj_value`, in integers.
+
+    They are the continuants of the chain and of the chain without its
+    first entry (1 for a single curve).  Consecutive continuants are
+    coprime, so the pair is already in lowest terms.
+    """
+    chain = _validate_chain(bs)
+    return _continuant(chain), _continuant(chain[1:])
+
+
 def hj_value(bs: Sequence[int]) -> Fraction:
     """Evaluate ``b_1 - 1/(b_2 - 1/(...))`` exactly.
 
     The result is the fraction ``p/q`` in lowest terms; its numerator is
     the determinant of the chain's (positive-definite) intersection matrix.
     """
-    chain = _validate_chain(bs)
-    value = Fraction(chain[-1])
-    for b in reversed(chain[:-1]):
-        value = b - 1 / value
-    return value
+    return Fraction(*fraction_terms(bs))
 
 
 def continuants(bs: Sequence[int]) -> tuple[int, ...]:
@@ -103,16 +125,35 @@ def chain_determinant(bs: Sequence[int]) -> int:
     return continuants(bs)[-1]
 
 
+def _left(chain: tuple[int, ...]) -> tuple[int, ...]:
+    return (2,) + chain[:-1] + (chain[-1] + 1,)
+
+
+def _right(chain: tuple[int, ...]) -> tuple[int, ...]:
+    return (chain[0] + 1,) + chain[1:] + (2,)
+
+
 def extend_left(bs: Sequence[int]) -> tuple[int, ...]:
     """Prepend a ``-2`` curve and steepen the far end."""
-    chain = _validate_chain(bs)
-    return (2,) + chain[:-1] + (chain[-1] + 1,)
+    return _left(_validate_chain(bs))
 
 
 def extend_right(bs: Sequence[int]) -> tuple[int, ...]:
     """Append a ``-2`` curve and steepen the near end."""
-    chain = _validate_chain(bs)
-    return (chain[0] + 1,) + chain[1:] + (2,)
+    return _right(_validate_chain(bs))
+
+
+_MOVES = {
+    "left": (_left, lambda d, n, a: (d, 2 * n - a, n)),
+    "right": (_right, lambda d, n, a: (d, n + a, a)),
+}
+"""Each end move on a chain, and what it does to the chain's ``(d, n, a)``."""
+
+
+def _base_params(base: tuple[int, ...]) -> tuple[int, int, int]:
+    """``(d, n, a)`` of a base: ``(4,)`` is ``4/1``, and ``(3, 2, ..., 2, 3)``
+    of length ``L`` is ``4L / (2L - 1)``."""
+    return (1, 2, 1) if len(base) == 1 else (len(base), 2, 1)
 
 
 def chain_bases(max_len: int) -> Iterator[tuple[int, ...]]:
@@ -160,6 +201,17 @@ class ClassTResult:
     def is_class_t(self) -> bool:
         return self.kind in ("base", "derived")
 
+    @property
+    def params(self) -> "tuple[int, int, int] | None":
+        """``(d, n, a)``, carried from the base along the moves; ``None``
+        when the chain is not of class T."""
+        if not self.is_class_t:
+            return None
+        params = _base_params(self.base)
+        for move in self.moves:
+            params = _MOVES[move][1](*params)
+        return params
+
     def __repr__(self) -> str:
         return (
             f"ClassTResult(kind={self.kind!r}, chain={self.chain!r}, "
@@ -206,35 +258,41 @@ def apply_moves(
     """Apply ``"left"``/``"right"`` moves to a chain in order."""
     cur = _validate_chain(base)
     for move in moves:
-        if move == "left":
-            cur = extend_left(cur)
-        elif move == "right":
-            cur = extend_right(cur)
-        else:
+        if move not in _MOVES:
             raise ValueError(f"unknown move {move!r}")
+        cur = _MOVES[move][0](cur)
     return cur
 
 
-def generate_class_t(max_len: int) -> list[tuple[int, ...]]:
-    """Every class T chain of length at most ``max_len``.
+def iter_class_t(
+    max_len: int,
+) -> Iterator[tuple[tuple[int, ...], tuple[int, int, int]]]:
+    """Every class T chain of length at most ``max_len`` with its
+    ``(d, n, a)``, ordered by length and then by chain.
 
-    There are ``2**k - 1`` such chains of length exactly ``k``: one new
-    base plus two extensions of each chain one shorter, and distinct move
-    sequences never collide because reduction is deterministic.
+    The chains of length ``k`` are the new base plus both moves applied to
+    each chain of length ``k - 1``; ``(d, n, a)`` is carried along each
+    move, so no chain is folded into a fraction.  There are ``2**k - 1``
+    chains of length exactly ``k``, and distinct move sequences never
+    collide because reduction is deterministic.  Only two lengths are held
+    at a time.
     """
-    if max_len < 1:
-        return []
-    found: set[tuple[int, ...]] = set()
-    frontier: list[tuple[int, ...]] = list(chain_bases(max_len))
-    while frontier:
-        chain = frontier.pop()
-        if chain in found:
-            continue
-        found.add(chain)
-        if len(chain) < max_len:
-            frontier.append(extend_left(chain))
-            frontier.append(extend_right(chain))
-    return sorted(found, key=lambda c: (len(c), c))
+    level: list[tuple[tuple[int, ...], tuple[int, int, int]]] = []
+    for base in chain_bases(max_len):
+        level = [
+            (move(chain), rule(*params))
+            for chain, params in level
+            for move, rule in _MOVES.values()
+        ]
+        level.append((base, _base_params(base)))
+        level.sort()
+        yield from level
+
+
+def generate_class_t(max_len: int) -> list[tuple[int, ...]]:
+    """Every class T chain of length at most ``max_len``, in the order of
+    :func:`iter_class_t`."""
+    return [chain for chain, _ in iter_class_t(max_len)]
 
 
 def general_params(bs: Sequence[int]) -> tuple[int, int, int]:
@@ -289,3 +347,17 @@ def wahl_params(bs: Sequence[int]) -> tuple[int, int]:
             "not of the form p^2/(pq - 1)"
         )
     return (p, q)
+
+
+def wahl_chain_length(p: int, q: int) -> int:
+    """Length of the chain of ``p^2 / (pq - 1)``, in ``O(log p)`` steps.
+
+    It is the sum of the partial quotients of ``p/q``, minus one; the
+    chain itself has that many entries, so this bounds the work before
+    :func:`hj_expand` is asked for it.  Requires ``0 < q < p`` coprime.
+    """
+    total = 0
+    while q:
+        total += p // q
+        p, q = q, p % q
+    return total - 1

@@ -23,7 +23,7 @@ from math import gcd
 from typing import Mapping, Sequence, Union
 
 from .contraction import ChainEmbedding, pullback_canonical
-from .lattice import DivisorClass, Rational, SurfaceModel
+from .lattice import Rational, SurfaceModel
 from .tchains import continuants
 
 __all__ = [
@@ -97,12 +97,37 @@ def _count(value, path: str) -> int:
     return value
 
 
+def _list(data: Mapping, key: str) -> list:
+    value = data.get(key)
+    if not isinstance(value, list):
+        raise ValueError(f"graph.{key} must be a list")
+    return value
+
+
+def _fields(entry, path: str, *keys: str) -> tuple[str, ...]:
+    """Required fields of a graph entry, as strings; errors name their path."""
+    if not isinstance(entry, Mapping):
+        raise ValueError(f"{path} must be an object")
+    for key in keys:
+        if key not in entry:
+            raise ValueError(f"{path}.{key} is missing")
+    return tuple(str(entry[key]) for key in keys)
+
+
 def parse_graph(data: Mapping) -> ConnectionGraph:
-    """Build a graph from its JSON object form; an order, ``p``, ``q`` or
-    meridian power that is not a positive integer raises ``ValueError``."""
+    """Build a graph from its JSON object form.
+
+    ``nodes`` and ``edges`` must be lists, each node needs a ``name`` and
+    each edge its ``a`` and ``b``; an order, ``p``, ``q`` or meridian power
+    must be a positive integer.  Anything else raises ``ValueError``
+    naming the field.
+    """
+    if not isinstance(data, Mapping):
+        raise ValueError("graph must be an object")
     parsed = []
-    for i, n in enumerate(data["nodes"]):
-        name, path = str(n["name"]), f"graph.nodes[{i}]"
+    for i, n in enumerate(_list(data, "nodes")):
+        path = f"graph.nodes[{i}]"
+        (name,) = _fields(n, path, "name")
         if "order" in n:
             order = _count(n["order"], f"{path}.order")
             parsed.append(GraphNode(name=name, explicit_order=order))
@@ -116,8 +141,8 @@ def parse_graph(data: Mapping) -> ConnectionGraph:
     if len(names) != len(nodes):
         raise ValueError("graph has duplicate node names")
     edges = []
-    for i, e in enumerate(data["edges"]):
-        a, b = str(e["a"]), str(e["b"])
+    for i, e in enumerate(_list(data, "edges")):
+        a, b = _fields(e, f"graph.edges[{i}]", "a", "b")
         if a not in names or b not in names:
             raise ValueError(f"edge {a!r} -- {b!r} mentions an unknown node")
         edges.append(GraphEdge(
@@ -325,24 +350,24 @@ def blowdown_invariants(
     embeddings: Sequence[ChainEmbedding],
     graph: Union[ConnectionGraph, None] = None,
     parity_override: Union[str, None] = None,
-    pullback: Union[DivisorClass, None] = None,
+    k_squared: Union[Rational, None] = None,
 ) -> SurfaceSummary:
     """Invariants of the surface after rationally blowing down the chains.
 
     Each chain neighbourhood (Euler characteristic ``k + 1``, signature
     ``-k``) is traded for a rational ball (Euler characteristic 1,
     signature 0), so the Euler characteristic drops by ``k`` per chain and
-    the signature rises by ``k``.  The canonical self-intersection comes
-    from the contraction pullback, which is built here unless ``pullback``
-    passes it in.  Holomorphic invariants follow from the signature theorem
+    the signature rises by ``k``.  The canonical self-intersection is the
+    square of the contraction pullback, which is built here unless
+    ``k_squared`` passes that square in.  Holomorphic invariants follow from the signature theorem
     and are cross-checked against the Noether relation.
     """
-    if pullback is None:
+    if k_squared is None:
         pullback = pullback_canonical(model, embeddings)
+        k_squared = pullback.dot(pullback)
     for emb in embeddings:
         rational_ball_invariants(emb.p, emb.q)
     total_length = sum(len(emb.curves) for emb in embeddings)
-    k_squared = pullback.dot(pullback)
     euler = 3 + model.blowup_count - total_length
     signature = (1 - model.blowup_count) + total_length
     b2 = model.lattice_rank - total_length

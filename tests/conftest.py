@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import blowdown
 from blowdown import Construction, build_model, load_construction
 
 
@@ -65,3 +66,28 @@ def write_mutant(tmp_path):
 def pencil2_raw(pencil2_construction):
     with open(pencil2_construction.source_path, "r", encoding="utf-8") as handle:
         return json.load(handle)
+
+
+@pytest.fixture()
+def count_calls(monkeypatch):
+    """Counts every call of a function through any ``blowdown`` module
+    binding: ``count_calls(fn)`` returns the list of each call's args."""
+    from blowdown import cli
+
+    modules = (blowdown.lattice, blowdown.contraction, blowdown.constructions,
+               blowdown.topology, blowdown.tchains, cli)
+
+    def count(fn):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        for module in modules:
+            for name, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return count

@@ -1,11 +1,18 @@
 """End-to-end runs of the command line interface."""
 
 import copy
+import hashlib
+import io
 import json
+import pathlib
 import subprocess
 import sys
+from contextlib import redirect_stdout
 
 import pytest
+
+from blowdown import cli
+from blowdown.cli import MAX_CHAIN_LENGTH, MAX_GEN_LENGTH
 
 
 def run_cli(*args):
@@ -71,6 +78,26 @@ def test_tchain_gen_counts_and_annotations():
     assert lines[-1] == "26 chains of length <= 4"
     assert "[4]  d=1 n=2 a=1 (Wahl p=2 q=1)" in result.stdout
     assert "[3, 3]  d=2 n=2 a=1" in result.stdout
+
+
+def test_cpq_bounds_the_chain_length_before_expanding():
+    # C(p, 1) has p - 1 curves.
+    result = run_cli("cpq", str(MAX_CHAIN_LENGTH + 1), "1")
+    assert result.returncode == 0
+    assert f"length {MAX_CHAIN_LENGTH}," in result.stdout
+    result = run_cli("cpq", "100000000000000000000001", "2")
+    assert result.returncode == 2
+    assert "p=100000000000000000000001, q=2" in result.stderr
+    assert f"more than {MAX_CHAIN_LENGTH}" in result.stderr
+
+
+@pytest.mark.parametrize("max_len", [0, MAX_GEN_LENGTH + 1, 100])
+def test_tchain_gen_bounds_max_len(max_len):
+    assert MAX_GEN_LENGTH >= 17
+    result = run_cli("tchain", "gen", "--max-len", str(max_len))
+    assert result.returncode == 2
+    assert f"--max-len must lie between 1 and {MAX_GEN_LENGTH}" in result.stderr
+    assert result.stdout == ""
 
 
 def test_tchain_check_recognizes_class_t():
@@ -147,6 +174,45 @@ def test_pi1_graph_file(tmp_path):
     assert result.returncode == 0
     assert "closure leaves residual cyclic factors" in result.stdout
     assert "final orders: A: 4, B: 4" in result.stdout
+
+
+@pytest.mark.parametrize("graph,message", [
+    ({"nodes": 5, "edges": []}, "graph.nodes must be a list"),
+    ({"nodes": [{"name": "A", "order": 4}]}, "graph.edges must be a list"),
+    ({"nodes": [{"order": 4}], "edges": []}, "graph.nodes[0].name is missing"),
+    ({"nodes": [4], "edges": []}, "graph.nodes[0] must be an object"),
+    ({"nodes": [{"name": "A", "order": 4}], "edges": [{"a": "A"}]},
+     "graph.edges[0].b is missing"),
+    ({"nodes": [{"name": "A", "order": 4}], "edges": [{"b": "A"}]},
+     "graph.edges[0].a is missing"),
+], ids=["nodes_not_a_list", "no_edges", "node_without_name", "node_not_object",
+        "edge_without_b", "edge_without_a"])
+def test_malformed_graph_file_names_the_field(tmp_path, graph, message):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    result = run_cli("pi1", str(path))
+    assert result.returncode == 2
+    assert result.stderr == f"error: {message}\n"
+
+
+def test_pi1_reads_a_construction_file_once(monkeypatch, main_construction):
+    reads = []
+    read_bytes = pathlib.Path.read_bytes
+
+    def counted(self):
+        reads.append(str(self))
+        return read_bytes(self)
+
+    monkeypatch.setattr(pathlib.Path, "read_bytes", counted)
+    source = main_construction.source_path
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["pi1", "--dataset", source, "--json"]) == 0
+    assert reads == [source]
+    with open(source, "rb") as handle:
+        digest = hashlib.sha256(handle.read()).hexdigest()
+    assert json.loads(out.getvalue())["input_sha256"] == digest
+    assert digest == main_construction.sha256
 
 
 def test_verify_text_passes_and_reports_errata():

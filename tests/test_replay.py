@@ -1,6 +1,7 @@
 """One shared replay per command: byte-identical envelopes, exact integer
 arithmetic, and each stage computed once."""
 
+import argparse
 import io
 import json
 import re
@@ -118,31 +119,12 @@ def test_expand_in_curves_matches_rational_elimination(main_model):
     assert all(type(c) is Fraction for c in coefficients.values())
 
 
-def count_calls(monkeypatch, fn):
-    """Count every call of ``fn`` through any ``blowdown`` module binding."""
-    import blowdown.constructions
-    import blowdown.topology
-
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    for module in (lattice, contraction, blowdown.constructions,
-                   blowdown.topology, cli):
-        for name, value in list(vars(module).items()):
-            if value is fn:
-                monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def test_one_verify_replays_once(monkeypatch, main_construction):
-    replays = count_calls(monkeypatch, lattice.new_plane)
-    pullbacks = count_calls(monkeypatch, contraction.pullback_canonical)
-    validations = count_calls(monkeypatch, contraction.validate_embedding)
-    readings = count_calls(monkeypatch, contraction.chain_shape)
-    closures = count_calls(monkeypatch, topology.pi1_closure)
+def test_one_verify_replays_once(count_calls, main_construction):
+    replays = count_calls(lattice.new_plane)
+    pullbacks = count_calls(contraction.pullback_canonical)
+    validations = count_calls(contraction.validate_embedding)
+    readings = count_calls(contraction.chain_shape)
+    closures = count_calls(topology.pi1_closure)
     rc, text = run_json("verify", "main_k3")
     assert rc == 0
     assert len(replays) == 1
@@ -156,10 +138,33 @@ def test_one_verify_replays_once(monkeypatch, main_construction):
     assert len(closures) == 1
 
 
-def test_checkpoint_that_raises_does_not_replay_again(monkeypatch, main_raw):
+def test_contracted_k_squared_is_computed_once(monkeypatch, main_construction):
+    # verify's k_squared check, the invariants summary and contract all read
+    # Replay.k_squared instead of squaring the pullback again.
+    replay = Replay(main_construction)
+    pullback = replay.pullback
+    squares = []
+    dot = lattice.DivisorClass.dot
+
+    def counted(self, other):
+        if self is pullback and other is pullback:
+            squares.append(1)
+        return dot(self, other)
+
+    monkeypatch.setattr(lattice.DivisorClass, "dot", counted)
+    assert replay.verify().ok
+    args = argparse.Namespace(json=True, report="text")
+    with redirect_stdout(io.StringIO()):
+        assert cli._cmd_contract(args, replay) == 0
+        assert cli._cmd_invariants(args, replay) == 0
+    assert len(squares) == 1
+    assert replay.summary.k_squared == replay.k_squared == 3
+
+
+def test_checkpoint_that_raises_does_not_replay_again(count_calls, main_raw):
     main_raw["expectations"][0]["curve"] = "nosuchcurve"
     construction = parse_construction(main_raw)
-    replays = count_calls(monkeypatch, lattice.new_plane)
+    replays = count_calls(lattice.new_plane)
     report = verify(construction)
     assert len(replays) == 1
     by_name = {c.name: c for c in report.checks}

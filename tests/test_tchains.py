@@ -1,7 +1,10 @@
 """Continued-fraction expansion and class T chain recognition."""
 
+import io
+from contextlib import redirect_stdout
 from fractions import Fraction
 from math import gcd, isqrt
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -13,14 +16,20 @@ from blowdown import (
     continuants,
     extend_left,
     extend_right,
+    fraction_terms,
     general_params,
     generate_class_t,
     hj_expand,
     hj_value,
     is_class_t,
+    iter_class_t,
+    wahl_chain_length,
     wahl_params,
 )
+from blowdown import cli
 from blowdown.tchains import apply_moves, chain_bases
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # Each C(p,q) label denotes the expansion of p^2/(pq - 1).
 WAHL_CHAINS = {
@@ -261,3 +270,75 @@ def test_moves_preserve_class_t_and_d(bs, move):
     d2, n2, a2 = general_params(extended)
     assert d2 == d
     assert n2 > n
+
+
+def run_cli_json(*argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        rc = cli.main([*argv, "--json"])
+    return rc, out.getvalue()
+
+
+def test_tchain_gen_json_matches_the_golden_file():
+    rc, text = run_cli_json("tchain", "gen", "--max-len", "8")
+    assert rc == 0
+    assert text.encode("utf-8") == (GOLDEN / "tchain_gen_8.json").read_bytes()
+
+
+def test_carried_params_match_the_fraction_search():
+    # The (d, n, a) carried along the moves against the O(sqrt N) search,
+    # on every class T chain up to length 12.
+    pairs = list(iter_class_t(12))
+    assert len(pairs) == 2**13 - 2 - 12 == 8178
+    for chain, params in pairs:
+        assert params == general_params(chain)
+        if params[0] == 1:
+            assert wahl_params(chain) == params[1:]
+
+
+def test_classify_chain_carries_params_from_its_base():
+    for chain, params in iter_class_t(8):
+        assert classify_chain(chain).params == params
+    assert classify_chain((4, 4)).params is None
+    assert classify_chain((2, 2)).params is None
+
+
+def test_generate_class_t_is_the_chain_projection():
+    assert generate_class_t(9) == [chain for chain, _ in iter_class_t(9)]
+    assert generate_class_t(0) == []
+    chains = generate_class_t(9)
+    assert chains == sorted(chains, key=lambda c: (len(c), c))
+
+
+def fold(bs):
+    value = Fraction(bs[-1])
+    for b in reversed(bs[:-1]):
+        value = b - 1 / value
+    return value
+
+
+def test_integer_hj_value_matches_a_fraction_fold():
+    for chain in generate_class_t(10):
+        value = fold(chain)
+        assert hj_value(chain) == value
+        assert fraction_terms(chain) == (value.numerator, value.denominator)
+
+
+def test_tchain_gen_folds_no_fraction(count_calls):
+    calls = [count_calls(fn) for fn in (general_params, wahl_params, hj_value)]
+    rc, text = run_cli_json("tchain", "gen", "--max-len", "10")
+    assert rc == 0
+    assert text.count('"chain"') == 2**11 - 2 - 10
+    assert calls == [[], [], []]
+
+
+def test_wahl_chain_length_needs_no_expansion():
+    for p, q in coprime_pairs(150):
+        assert wahl_chain_length(p, q) == len(hj_expand(p * p, p * q - 1))
+
+
+def test_tchain_records_check_each_carried_triple():
+    (record,) = cli._tchain_records([((2, 5), (1, 3, 2))])
+    assert (record["p"], record["q"]) == (3, 2)
+    with pytest.raises(ArithmeticError, match=r"fraction 9/5"):
+        list(cli._tchain_records([((2, 5), (1, 3, 1))]))

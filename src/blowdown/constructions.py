@@ -284,7 +284,8 @@ def parse_construction(
 
 def read_dataset(name_or_path: Union[str, Path]) -> tuple[object, str, str]:
     """The decoded JSON, path and sha256 digest of a built-in dataset by
-    name, or of any JSON file by path; the file is read once."""
+    name, or of any JSON file by path; the file is read once.  A path that
+    cannot be read (a directory, say) raises ``ValueError`` naming it."""
     candidate = Path(name_or_path)
     if candidate.suffix == ".json" and candidate.exists():
         path = candidate
@@ -296,7 +297,10 @@ def read_dataset(name_or_path: Union[str, Path]) -> tuple[object, str, str]:
                 f"no construction named {name_or_path!r} "
                 f"(available: {known})"
             )
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:  # a directory, or a file that cannot be read
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
     data = json.loads(raw.decode("utf-8"))
     return data, str(path), hashlib.sha256(raw).hexdigest()
 

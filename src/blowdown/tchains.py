@@ -77,22 +77,19 @@ def hj_expand(p: int, q: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _continuant(chain: Sequence[int]) -> int:
-    prev, cur = 0, 1
-    for b in chain:
-        prev, cur = cur, b * cur - prev
-    return cur
-
-
 def fraction_terms(bs: Sequence[int]) -> tuple[int, int]:
     """Numerator and denominator of :func:`hj_value`, in integers.
 
     They are the continuants of the chain and of the chain without its
     first entry (1 for a single curve).  Consecutive continuants are
-    coprime, so the pair is already in lowest terms.
+    coprime, so the pair is already in lowest terms.  A continuant does
+    not change when its chain is reversed, so one pass from the far end
+    ends on both: ``K(b_2..b_k)`` and then ``K(b_1..b_k)``.
     """
-    chain = _validate_chain(bs)
-    return _continuant(chain), _continuant(chain[1:])
+    prev, cur = 0, 1
+    for b in reversed(_validate_chain(bs)):
+        prev, cur = cur, b * cur - prev
+    return cur, prev
 
 
 def hj_value(bs: Sequence[int]) -> Fraction:

@@ -100,6 +100,69 @@ def test_tchain_gen_bounds_max_len(max_len):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_tchain_gen_exits_141_when_the_reader_leaves(flags):
+    # As in `blowdown tchain gen --max-len 14 | head -1`.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "blowdown", "tchain", "gen", "--max-len", "14",
+         *flags],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert stderr == b""
+
+
+def test_tchain_gen_json_streams_in_flat_memory():
+    # The process's own peak RSS; the whole envelope built in memory
+    # peaked at about 104 MiB at this length.
+    script = (
+        "import resource, sys\n"
+        "from blowdown import cli\n"
+        "code = cli.main(['tchain', 'gen', '--max-len', '14', '--json'])\n"
+        "sys.stdout.flush()\n"
+        "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(rss, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert result.returncode == 0
+    payload = json.loads(result.stdout)["result"]
+    assert payload["count"] == len(payload["chains"]) == 2**15 - 16
+    assert int(result.stderr) < 64 * 1024  # KiB
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_tchain_gen_stops_at_a_record_that_fails_its_check(
+    monkeypatch, capsys, flags
+):
+    good = list(cli.iter_class_t(3))
+    monkeypatch.setattr(
+        cli, "iter_class_t", lambda max_len: iter(good + [((2, 5), (1, 3, 1))])
+    )
+    assert cli.main(["tchain", "gen", "--max-len", "3", *flags]) == 1
+    out, err = capsys.readouterr()
+    assert "error: chain [2, 5] has fraction 9/5" in err
+    # Every good record was written before the bad one was checked, and
+    # the output stops there.
+    if flags:
+        assert out.count('"chain"') == len(good)
+        assert '"count"' not in out
+        with pytest.raises(ValueError):
+            json.loads(out)
+    else:
+        assert out.splitlines() == [
+            f"{list(record['chain'])}  {cli._params_line(record)}"
+            for record in cli._tchain_records(good)
+        ]
+
+
 def test_tchain_check_recognizes_class_t():
     result = run_cli("tchain", "check", "6", "8", "2", "2", "2", "3", "2", "2", "2", "2")
     assert result.returncode == 0
@@ -257,6 +320,20 @@ def test_verify_mutated_dataset_exits_1(tmp_path, main_construction):
     assert result.returncode == 1
     assert "[FAIL] script_expectations" in result.stdout
     assert "H. Park, J. Park and D. Shin" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--dataset"], ["contract", "--dataset"],
+     ["invariants", "--dataset"], ["pi1", "--dataset"], ["pi1"]],
+)
+def test_dataset_that_is_a_directory_exits_2(tmp_path, argv):
+    path = tmp_path / "d.json"
+    path.mkdir()
+    result = run_cli(*argv, str(path))
+    assert result.returncode == 2
+    assert f"cannot read {path}" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize("command", ["verify", "contract", "invariants"])

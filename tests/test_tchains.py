@@ -1,6 +1,7 @@
 """Continued-fraction expansion and class T chain recognition."""
 
 import io
+import random
 from contextlib import redirect_stdout
 from fractions import Fraction
 from math import gcd, isqrt
@@ -280,9 +281,27 @@ def run_cli_json(*argv):
 
 
 def test_tchain_gen_json_matches_the_golden_file():
-    rc, text = run_cli_json("tchain", "gen", "--max-len", "8")
-    assert rc == 0
-    assert text.encode("utf-8") == (GOLDEN / "tchain_gen_8.json").read_bytes()
+    for max_len in (5, 8):
+        rc, text = run_cli_json("tchain", "gen", "--max-len", str(max_len))
+        assert rc == 0
+        golden = GOLDEN / f"tchain_gen_{max_len}.json"
+        assert text.encode("utf-8") == golden.read_bytes()
+
+
+def test_streamed_json_is_the_rendered_envelope():
+    # The streamed document against _emit_json over the listed records.
+    for max_len in range(1, 13):
+        records = list(cli._tchain_records(iter_class_t(max_len)))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            cli._emit_json(
+                "tchain gen",
+                cli._digest_args({"max_len": max_len}),
+                {"max_len": max_len, "count": len(records), "chains": records},
+            )
+        rc, text = run_cli_json("tchain", "gen", "--max-len", str(max_len))
+        assert rc == 0
+        assert text == out.getvalue()
 
 
 def test_carried_params_match_the_fraction_search():
@@ -318,10 +337,19 @@ def fold(bs):
 
 
 def test_integer_hj_value_matches_a_fraction_fold():
-    for chain in generate_class_t(10):
+    # fraction_terms runs once from the far end; the fold runs from the
+    # near end.  Class T chains up to length 10, then seeded random chains
+    # of the same lengths, most of them not of class T.
+    rng = random.Random(10)
+    others = [
+        tuple(rng.randint(2, 9) for _ in range(rng.randint(1, 10)))
+        for _ in range(2000)
+    ]
+    for chain in generate_class_t(10) + others:
         value = fold(chain)
         assert hj_value(chain) == value
         assert fraction_terms(chain) == (value.numerator, value.denominator)
+        assert fraction_terms(chain[::-1])[0] == value.numerator
 
 
 def test_tchain_gen_folds_no_fraction(count_calls):

@@ -16,11 +16,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Union
 
 from .contraction import (
     ChainEmbedding,
@@ -35,6 +36,8 @@ from .contraction import (
 from .lattice import (
     Script,
     SurfaceModel,
+    _number,
+    _typed,
     check_expectations,
     iter_models,
     parse_script,
@@ -130,35 +133,11 @@ def _split_expected(raw: Mapping) -> tuple[dict, dict]:
     return expected, cites
 
 
-_KINDS = {Mapping: "an object", list: "an array", int: "an integer", str: "a string",
-          bool: "a boolean"}
-
-
-def _typed(value, kind: type, path: str):
-    """``value``, checked to be of a JSON kind; errors name its field path."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ValueError(f"{path} must be {_KINDS[kind]}")
-    return value
-
-
-def _number(value, path: str) -> Fraction:
-    """A recorded number, given as an integer or a fraction string ``"p/q"``."""
-    if type(value) is int:
-        return Fraction(value)
-    if isinstance(value, str):
-        num, slash, den = value.partition("/")
-        try:
-            return Fraction(int(num), int(den) if slash else 1)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ValueError(
-        f"{path} must be an integer or a fraction string, got {value!r}"
-    )
-
-
-def _row(value, path: str) -> tuple[Fraction, ...]:
-    return tuple(
-        _number(v, f"{path}[{i}]") for i, v in enumerate(_typed(value, list, path))
+def _array(parse):
+    """A parser of a JSON array whose every entry ``parse`` reads."""
+    return lambda value, path: tuple(
+        parse(entry, f"{path}[{i}]")
+        for i, entry in enumerate(_typed(value, list, path))
     )
 
 
@@ -174,6 +153,9 @@ def _kind(kind: type):
     return lambda value, path: _typed(value, kind, path)
 
 
+_strings = _array(_kind(str))
+
+
 # How each recorded value the checks grade is parsed; the keys of
 # ``expected`` and ``errata`` that are not listed are kept as printed only.
 _RECORDED = {
@@ -186,7 +168,7 @@ _RECORDED = {
         "nef_values", "nef_negative_pairings",
     ), _table(_number)),
     "fiber_relation": _table(_table(_number)),
-    "discrepancies": _table(_row),
+    "discrepancies": _table(_array(_number)),
     "parity": _kind(str),
     "fingerprint": _kind(str),
     "pi1_trivial": _kind(bool),
@@ -208,24 +190,13 @@ def _parse_chains(raw) -> tuple[ChainEmbedding, ...]:
     chains = []
     for i, entry in enumerate(_typed(raw, list, "chains")):
         path = f"chains[{i}]"
-        curves = _typed(_typed(entry, Mapping, path).get("curves"), list,
-                        f"{path}.curves")
+        _typed(entry, Mapping, path)
         chains.append(ChainEmbedding(
             p=_typed(entry.get("p"), int, f"{path}.p"),
             q=_typed(entry.get("q"), int, f"{path}.q"),
-            curves=tuple(_typed(name, str, f"{path}.curves[{j}]")
-                         for j, name in enumerate(curves)),
+            curves=_strings(entry.get("curves"), f"{path}.curves"),
         ))
     return tuple(chains)
-
-
-def _parse_section(path: str, parse, raw):
-    """Run a section parser, naming the section on a malformed entry."""
-    try:
-        return parse(raw)
-    except (KeyError, TypeError, AttributeError) as exc:
-        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise ValueError(f"{path}: malformed entry ({detail})") from None
 
 
 def parse_construction(
@@ -238,13 +209,9 @@ def parse_construction(
     _typed(data, Mapping, "a construction dataset")
     for key in ("expected", "errata", "fiber_expansions"):
         _typed(data.get(key, {}), Mapping, key)
-    script = _parse_section("script", parse_script, data)
+    script = parse_script(data)
     chains = _parse_chains(data.get("chains", []))
-    graph = (
-        _parse_section("graph", parse_graph, data["graph"])
-        if data.get("graph")
-        else None
-    )
+    graph = parse_graph(data["graph"]) if data.get("graph") else None
     base_step = data.get("base_surface_step")
     if base_step is not None and not (
         0 <= _typed(base_step, int, "base_surface_step") <= script.step_count
@@ -253,25 +220,26 @@ def parse_construction(
             f"base_surface_step must lie between 0 and the script's "
             f"{script.step_count} steps, got {base_step}"
         )
-    fibers = _parse_section("fiber_expansions", lambda raw: tuple(
-        (str(name), tuple(str(c) for c in support))
-        for name, support in raw.items()
-    ), data.get("fiber_expansions", {}))
+    fibers = tuple(
+        (name, _strings(support, f"fiber_expansions.{name}"))
+        for name, support in data.get("fiber_expansions", {}).items()
+    )
+    parity = data.get("parity_override")
     expected, expected_cites = _split_expected(data.get("expected", {}))
     errata = data.get("errata", {})
     return Construction(
-        name=str(data.get("name", source_path or "construction")),
-        title=str(data.get("title", "")),
-        citation=str(data.get("citation", "")),
+        name=_typed(data.get("name", source_path or "construction"), str, "name"),
+        title=_typed(data.get("title", ""), str, "title"),
+        citation=_typed(data.get("citation", ""), str, "citation"),
         script=script,
         chains=chains,
         graph=graph,
         base_surface_step=base_step,
         fiber_expansions=fibers,
-        nef_test_curves=tuple(
-            str(n) for n in data.get("nef_test_curves", ())
-        ),
-        parity_override=data.get("parity_override"),
+        nef_test_curves=_strings(data.get("nef_test_curves", []),
+                                 "nef_test_curves"),
+        parity_override=(None if parity is None
+                         else _typed(parity, str, "parity_override")),
         expected=expected,
         errata=errata,
         expected_cites=expected_cites,
@@ -349,49 +317,66 @@ class VerifyReport:
         }
 
 
-def _compare_tables(
-    label: str,
-    printed: Mapping[str, Fraction],
-    computed: Mapping[str, Fraction],
-    corrections: Mapping[str, Fraction],
-) -> tuple[str, list[str]]:
-    """Grade computed values against recorded ones, correction-aware."""
-    status = "pass"
-    details: list[str] = []
-    matched = 0
-    for key, recorded in printed.items():
-        if key not in computed:
-            status = "fail"
-            details.append(
-                f"{label}[{key}]: recorded {recorded}, but no value computed"
-            )
-            continue
-        value = computed[key]
-        if value == recorded:
-            matched += 1
-        elif key in corrections and value == corrections[key]:
-            if status == "pass":
-                status = "erratum"
-            details.append(
-                f"{label}[{key}]: recorded {recorded}, computed {value}; "
-                "matches the dataset's correction"
-            )
-        else:
-            status = "fail"
-            details.append(
-                f"{label}[{key}]: recorded {recorded}, computed {value}, "
-                "and no correction covers this"
-            )
-    for key, value in computed.items():
-        if key not in printed and value != 0:
-            status = "fail"
-            details.append(
-                f"{label}[{key}]: computed {value} but nothing was recorded"
-            )
-    details.insert(
-        0, f"{matched} of {len(printed)} recorded values reproduced exactly"
-    )
-    return status, details
+class _Grade:
+    """The status and detail lines of one check, written as it runs.
+
+    The only place that orders the statuses: a failure outranks an
+    erratum, which outranks a pass.
+    """
+
+    __slots__ = ("status", "details")
+
+    def __init__(self) -> None:
+        self.status = "pass"
+        self.details: list[str] = []
+
+    def note(self, *lines: str) -> None:
+        self.details.extend(lines)
+
+    def erratum(self, *lines: str) -> None:
+        if self.status == "pass":
+            self.status = "erratum"
+        self.details.extend(lines)
+
+    def fail(self, *lines: str) -> None:
+        self.status = "fail"
+        self.details.extend(lines)
+
+    def table(
+        self,
+        label: str,
+        printed: Mapping[str, Fraction],
+        computed: Mapping[str, Fraction],
+        corrections: Mapping[str, Fraction],
+    ) -> None:
+        """Grade computed values against recorded ones, correction-aware,
+        under a line counting the exact matches."""
+        matched = sum(computed.get(key) == value for key, value in printed.items())
+        self.note(f"{matched} of {len(printed)} recorded values reproduced exactly")
+        for key, recorded in printed.items():
+            if key not in computed:
+                self.fail(
+                    f"{label}[{key}]: recorded {recorded}, but no value computed"
+                )
+                continue
+            value = computed[key]
+            if value == recorded:
+                continue
+            if key in corrections and value == corrections[key]:
+                self.erratum(
+                    f"{label}[{key}]: recorded {recorded}, computed {value}; "
+                    "matches the dataset's correction"
+                )
+            else:
+                self.fail(
+                    f"{label}[{key}]: recorded {recorded}, computed {value}, "
+                    "and no correction covers this"
+                )
+        for key, value in computed.items():
+            if key not in printed and value != 0:
+                self.fail(
+                    f"{label}[{key}]: computed {value} but nothing was recorded"
+                )
 
 
 STAGE_ERRORS = (ContractionError, ValueError, KeyError, AssertionError)
@@ -558,17 +543,19 @@ class Replay:
 
     def _graded(self, name: str, check, cite_key: str) -> CheckResult:
         construction = self.construction
+        grade = _Grade()
         try:
-            status, details = check(self)
+            check(self, grade)
         except STAGE_ERRORS as exc:
-            status, details = "fail", [str(exc)]
-        lines = list(details)
+            grade = _Grade()
+            grade.fail(str(exc))
         cite = str(construction.expected_cites.get(cite_key, "")) if cite_key else ""
-        if status != "pass" and cite:
-            lines.append(f"recorded at: {cite}")
-        if status == "fail" and construction.citation:
-            lines.append(f"source: {construction.citation}")
-        return CheckResult(name=name, status=status, details=tuple(lines))
+        if grade.status != "pass" and cite:
+            grade.note(f"recorded at: {cite}")
+        if grade.status == "fail" and construction.citation:
+            grade.note(f"source: {construction.citation}")
+        return CheckResult(name=name, status=grade.status,
+                           details=tuple(grade.details))
 
 
 def pullback_expansion(
@@ -592,15 +579,7 @@ def verify(construction: Construction) -> VerifyReport:
     return Replay(construction).verify()
 
 
-def _merge(status: str, sub_status: str) -> str:
-    if sub_status == "fail":
-        return "fail"
-    if sub_status == "erratum" and status == "pass":
-        return "erratum"
-    return status
-
-
-def _script_check(replay: Replay):
+def _script_check(replay: Replay, grade: _Grade):
     results = replay.checkpoints
     failures = [
         f"after step {exp.after_step}: {exp.describe()} recorded "
@@ -608,372 +587,261 @@ def _script_check(replay: Replay):
         for exp, actual, ok in results
         if not ok
     ]
-    details = [
-        f"{len(results) - len(failures)} of {len(results)} recorded "
-        "intersection numbers reproduced"
-    ] + failures
-    return ("pass" if not failures else "fail"), details
+    grade.note(f"{len(results) - len(failures)} of {len(results)} recorded "
+               "intersection numbers reproduced")
+    for line in failures:
+        grade.fail(line)
 
 
-def _shapes_check(replay: Replay):
-    details = []
+def _shapes_check(replay: Replay, grade: _Grade):
     for emb, bs in zip(replay.construction.chains, replay.shapes):
         # The shape is the expansion of p^2/(pq - 1); recovering (p, q)
         # from it fails unless 0 < q < p are coprime.
         wahl_params(bs)
         fraction = Fraction(emb.p * emb.p, emb.p * emb.q - 1)
-        details.append(
+        grade.note(
             f"{emb.label}: shape {list(bs)} matches {fraction.numerator}/"
             f"{fraction.denominator}, determinant {emb.p * emb.p}"
         )
-    return "pass", details
 
 
-def _artin_check(replay: Replay):
+def _artin_check(replay: Replay, grade: _Grade):
     cert = replay.artin
-    details = []
-    for chain_cert in cert.chains:
-        minors = ", ".join(str(m) for m in chain_cert.minors)
-        details.append(
-            f"{chain_cert.label}: leading minors {minors}; "
-            + (
-                "signs alternate, negative definite"
-                if chain_cert.negative_definite
-                else "signs do not alternate"
-            )
-        )
-    for a_label, a, b_label, b, value in cert.cross_violations:
-        details.append(
-            f"{a_label} curve {a} meets {b_label} curve {b}: {value}"
-        )
-    return ("pass" if cert.ok else "fail"), details
+    lines = [
+        f"{chain_cert.label}: leading minors "
+        f"{', '.join(str(m) for m in chain_cert.minors)}; "
+        + ("signs alternate, negative definite" if chain_cert.negative_definite
+           else "signs do not alternate")
+        for chain_cert in cert.chains
+    ] + [
+        f"{a_label} curve {a} meets {b_label} curve {b}: {value}"
+        for a_label, a, b_label, b, value in cert.cross_violations
+    ]
+    (grade.note if cert.ok else grade.fail)(*lines)
 
 
-def _discrepancy_check(replay: Replay):
+def _discrepancy_check(replay: Replay, grade: _Grade):
     construction = replay.construction
-    status = "pass"
-    details = []
     recorded_tables = construction.recorded.get("discrepancies", {})
     for emb, bs, ds in zip(construction.chains, replay.shapes, replay.discrepancies):
         if not all(0 < d < 1 for d in ds):
-            status = "fail"
-            details.append(
+            grade.fail(
                 f"{emb.label}: discrepancies {list(map(str, ds))} "
                 "leave the open interval (0, 1)"
             )
             continue
         gain = k_squared_gain(bs)
         if gain != len(bs):
-            status = "fail"
-            details.append(
+            grade.fail(
                 f"{emb.label}: sum of d_i (b_i - 2) is {gain}, "
                 f"expected the chain length {len(bs)}"
             )
             continue
         line = f"{emb.label}: ({', '.join(str(d) for d in ds)})"
-        if emb.label in recorded_tables:
-            recorded = recorded_tables[emb.label]
-            if recorded != ds:
-                status = "fail"
-                line += (
-                    "; recorded values "
-                    f"({', '.join(str(d) for d in recorded)}) differ"
-                )
-            else:
-                line += "; matches the recorded values"
-        details.append(line)
-    return status, details
+        recorded = recorded_tables.get(emb.label)
+        if recorded is None:
+            grade.note(line)
+        elif recorded != ds:
+            grade.fail(f"{line}; recorded values "
+                       f"({', '.join(str(d) for d in recorded)}) differ")
+        else:
+            grade.note(f"{line}; matches the recorded values")
 
 
-def _adjunction_check(replay: Replay):
+def _adjunction_check(replay: Replay, grade: _Grade):
     model, chains = replay.model, replay.construction.chains
-    details = []
-    status = "pass"
-    for emb, bs in zip(chains, replay.shapes):
-        for name, b in zip(emb.curves, bs):
-            pairing = model.intersect(model.canonical, name)
-            if pairing != b - 2:
-                status = "fail"
-                details.append(
-                    f"{emb.label}: K . {name} = {pairing}, expected {b - 2}"
-                )
-    count = sum(len(emb.curves) for emb in chains)
-    details.insert(0, f"K . G = b - 2 on all {count} chain curves"
-                   if status == "pass" else "adjunction violated")
-    return status, details
+    violations = [
+        f"{emb.label}: K . {name} = {pairing}, expected {b - 2}"
+        for emb, bs in zip(chains, replay.shapes)
+        for name, b in zip(emb.curves, bs)
+        if (pairing := model.intersect(model.canonical, name)) != b - 2
+    ]
+    if violations:
+        grade.fail("adjunction violated", *violations)
+    else:
+        count = sum(len(emb.curves) for emb in chains)
+        grade.note(f"K . G = b - 2 on all {count} chain curves")
 
 
-def _orthogonality_check(replay: Replay):
+def _orthogonality_check(replay: Replay, grade: _Grade):
     # pullback_canonical asserts orthogonality to every contracted curve.
     replay.pullback
-    return "pass", [
-        "pullback canonical class is orthogonal to every contracted curve"
-    ]
+    grade.note("pullback canonical class is orthogonal to every contracted curve")
 
 
-def _k_squared_check(replay: Replay):
+def _k_squared_check(replay: Replay, grade: _Grade):
     construction, model = replay.construction, replay.model
     recorded = construction.recorded
-    status = "pass"
-    details = []
     k2 = replay.k_squared
     k2_res = model.canonical_self_intersection()
     total_length = sum(len(emb.curves) for emb in construction.chains)
-    details.append(
-        f"K^2 rises from {k2_res} to {k2} across {total_length} "
-        "contracted curves"
-    )
+    grade.note(f"K^2 rises from {k2_res} to {k2} across {total_length} "
+               "contracted curves")
     if k2 - k2_res != total_length:
-        status = "fail"
-        details.append(
-            f"gain {k2 - k2_res} differs from total chain length "
-            f"{total_length}"
-        )
-    if "k_squared_resolution" in recorded and (
-        k2_res != recorded["k_squared_resolution"]
-    ):
-        status = "fail"
-        details.append(
-            f"resolution K^2 = {k2_res}, recorded "
-            f"{recorded['k_squared_resolution']}"
-        )
-    if "k_squared" in recorded and k2 != recorded["k_squared"]:
-        status = "fail"
-        details.append(
-            f"contracted K^2 = {k2}, recorded {recorded['k_squared']}"
-        )
-    return status, details
+        grade.fail(f"gain {k2 - k2_res} differs from total chain length "
+                   f"{total_length}")
+    if recorded.get("k_squared_resolution", k2_res) != k2_res:
+        grade.fail(f"resolution K^2 = {k2_res}, recorded "
+                   f"{recorded['k_squared_resolution']}")
+    if recorded.get("k_squared", k2) != k2:
+        grade.fail(f"contracted K^2 = {k2}, recorded {recorded['k_squared']}")
 
 
-def _canonical_relation_check(replay: Replay):
+def _canonical_relation_check(replay: Replay, grade: _Grade):
     construction = replay.construction
-    computed = replay.relation
-    printed = construction.recorded["canonical_relation"]
-    corrections = construction.corrections.get("canonical_relation", {})
-    return _compare_tables("canonical_relation", printed, computed, corrections)
+    grade.table(
+        "canonical_relation", construction.recorded["canonical_relation"],
+        replay.relation, construction.corrections.get("canonical_relation", {}),
+    )
 
 
-def _fiber_relation_check(replay: Replay):
+def _fiber_relation_check(replay: Replay, grade: _Grade):
     construction = replay.construction
-    fibers = replay.fibers
-    status = "pass"
-    details: list[str] = []
-    for fiber_name, _ in construction.fiber_expansions:
-        printed = construction.recorded["fiber_relation"][fiber_name]
-        corrections = construction.corrections.get("fiber_relation", {})
-        sub_status, sub_details = _compare_tables(
-            f"fiber {fiber_name}", printed, fibers[fiber_name],
-            corrections.get(fiber_name, {}),
+    corrections = construction.corrections.get("fiber_relation", {})
+    for name, _ in construction.fiber_expansions:
+        grade.table(
+            f"fiber {name}", construction.recorded["fiber_relation"][name],
+            replay.fibers[name], corrections.get(name, {}),
         )
-        status = _merge(status, sub_status)
-        details.extend(sub_details)
-    return status, details
 
 
-def _pullback_expansion_check(replay: Replay):
+def _pullback_expansion_check(replay: Replay, grade: _Grade):
     construction, model = replay.construction, replay.model
     coefficients = replay.coefficients
     assembled = model.canonical * 0
     for curve, coeff in coefficients.items():
         assembled = assembled + coeff * model.curve(curve)
-    pullback = replay.pullback
-    computed = {
-        curve: coeff for curve, coeff in coefficients.items() if coeff
-    }
-    printed = construction.recorded["pullback_coefficients"]
-    corrections = construction.corrections.get("pullback_coefficients", {})
-    status, details = _compare_tables("pullback", printed, computed, corrections)
-    if assembled != pullback:
-        status = "fail"
-        details.append(
-            "assembled expansion does not reproduce the pullback class"
-        )
-    else:
-        details.append(
-            "assembled expansion equals the pullback canonical class"
-        )
-    return status, details
-
-
-def _nef_check(replay: Replay):
-    construction, model = replay.construction, replay.model
-    recorded = construction.recorded
-    pullback = replay.pullback
-    values = nef_values(
-        model, construction.chains, construction.nef_test_curves, pullback
+    grade.table(
+        "pullback", construction.recorded["pullback_coefficients"],
+        {curve: coeff for curve, coeff in coefficients.items() if coeff},
+        construction.corrections.get("pullback_coefficients", {}),
     )
+    if assembled != replay.pullback:
+        grade.fail("assembled expansion does not reproduce the pullback class")
+    else:
+        grade.note("assembled expansion equals the pullback canonical class")
+
+
+def _nef_check(replay: Replay, grade: _Grade):
+    construction = replay.construction
+    recorded = construction.recorded
+    values = nef_values(replay.model, construction.chains,
+                        construction.nef_test_curves, replay.pullback)
     computed = dict(values)
-    status = "pass"
-    details = []
+    negative = [(name, value) for name, value in values if value < 0]
+    grade.note(f"pullback pairs nonnegatively with {len(values) - len(negative)} "
+               f"of {len(values)} test curves")
     recorded_negative = recorded.get("nef_negative_pairings", {})
-    negative = 0
-    for name, value in values:
-        if value >= 0:
-            continue
-        negative += 1
+    for name, value in negative:
         if recorded_negative.get(name) == value:
-            if status == "pass":
-                status = "erratum"
-            details.append(
+            grade.erratum(
                 f"pullback . {name} = {value} < 0, matching the negative "
                 "pairing recorded against the source's minimality claim"
             )
         else:
-            status = "fail"
-            details.append(f"pullback . {name} = {value} < 0")
+            grade.fail(f"pullback . {name} = {value} < 0")
     for name in recorded_negative:
-        if name not in computed or computed[name] >= 0:
-            status = "fail"
-            details.append(
-                f"recorded negative pairing for {name} was not reproduced"
-            )
-    details.insert(
-        0,
-        f"pullback pairs nonnegatively with {len(values) - negative} "
-        f"of {len(values)} test curves",
-    )
+        if computed.get(name, 0) >= 0:
+            grade.fail(f"recorded negative pairing for {name} was not reproduced")
     if "nef_values" in recorded:
         printed = recorded["nef_values"]
-        corrections = construction.corrections.get("nef_values", {})
-        sub_status, sub_details = _compare_tables(
+        grade.table(
             "nef", printed, {k: v for k, v in computed.items() if k in printed},
-            corrections,
+            construction.corrections.get("nef_values", {}),
         )
-        status = _merge(status, sub_status)
-        details.extend(sub_details)
     if "zero_on_contracted" in recorded:
         # The pullback exists only if it is orthogonal to every contracted
         # curve (pullback_canonical asserts it), so only true can hold.
         line = "pullback vanishes on every contracted curve"
-        if not recorded["zero_on_contracted"]:
-            status = "fail"
+        if recorded["zero_on_contracted"]:
+            grade.note(line)
+        else:
             cite = construction.expected_cites.get("zero_on_contracted", "")
-            line += (
-                ", but zero_on_contracted is recorded as false"
-                + (f" [{cite}]" if cite else "")
-            )
-        details.append(line)
-    return status, details
+            grade.fail(f"{line}, but zero_on_contracted is recorded as false"
+                       + (f" [{cite}]" if cite else ""))
 
 
-def _invariants_check(replay: Replay):
-    construction, model = replay.construction, replay.model
-    expected = construction.recorded
-    summary = replay.summary
-    status = "pass"
-    details = []
-
-    def expect(key: str, actual, label: str) -> None:
-        nonlocal status
+def _invariants_check(replay: Replay, grade: _Grade):
+    model, summary = replay.model, replay.summary
+    expected = replay.construction.recorded
+    for key, actual, label in (
+        ("blowup_count", model.blowup_count, "blow-ups"),
+        ("rank", model.lattice_rank, "lattice rank"),
+        ("k_squared", summary.k_squared, "K^2"),
+        ("euler", summary.euler, "Euler characteristic"),
+        ("signature", summary.signature, "signature"),
+        ("b2_plus", summary.b2_plus, "b2+"),
+        ("b2_minus", summary.b2_minus, "b2-"),
+        ("chi", summary.chi, "chi"),
+        ("parity", summary.parity, "parity"),
+        ("fingerprint", summary.fingerprint, "fingerprint"),
+    ):
         if key not in expected:
-            return
+            continue
         recorded = expected[key]
         # A name such as the fingerprint is compared as text, also when
         # nothing was computed; a number as an exact fraction.
         if (str(actual) if isinstance(recorded, str) else actual) == recorded:
-            details.append(f"{label}: {actual}")
+            grade.note(f"{label}: {actual}")
         else:
-            status = "fail"
-            details.append(f"{label}: computed {actual}, recorded {recorded}")
-
-    expect("blowup_count", model.blowup_count, "blow-ups")
-    expect("rank", model.lattice_rank, "lattice rank")
-    expect("k_squared", summary.k_squared, "K^2")
-    expect("euler", summary.euler, "Euler characteristic")
-    expect("signature", summary.signature, "signature")
-    expect("b2_plus", summary.b2_plus, "b2+")
-    expect("b2_minus", summary.b2_minus, "b2-")
-    expect("chi", summary.chi, "chi")
-    expect("parity", summary.parity, "parity")
-    expect("fingerprint", summary.fingerprint, "fingerprint")
-    if not summary.noether_ok:
-        status = "fail"
-        details.append(
-            f"Noether relation fails: {summary.k_squared} + "
-            f"{summary.euler} != 12 * {summary.chi}"
-        )
+            grade.fail(f"{label}: computed {actual}, recorded {recorded}")
+    terms = f"{summary.k_squared} + {summary.euler}"
+    if summary.noether_ok:
+        grade.note(f"Noether relation holds: {terms} = 12 * {summary.chi}")
     else:
-        details.append(
-            f"Noether relation holds: {summary.k_squared} + "
-            f"{summary.euler} = 12 * {summary.chi}"
-        )
-    details.append(f"parity reason: {summary.parity_reason}")
-    return status, details
+        grade.fail(f"Noether relation fails: {terms} != 12 * {summary.chi}")
+    grade.note(f"parity reason: {summary.parity_reason}")
 
 
-def _pi1_check(replay: Replay):
-    construction = replay.construction
+def _pi1_check(replay: Replay, grade: _Grade):
+    construction, result = replay.construction, replay.pi1
     graph = construction.graph
-    result = replay.pi1
-    details = list(result.describe())
+    grade.note(*result.describe())
     if graph.reconstructed:
-        details.append(
-            "connection graph was reconstructed from the curve "
-            "geometry rather than recorded explicitly"
-        )
-    status = "pass"
+        grade.note("connection graph was reconstructed from the curve "
+                   "geometry rather than recorded explicitly")
     nodes = {node.name: node for node in graph.nodes}
     for emb in construction.chains:
         node = nodes.get(emb.label)
         if node is not None and (node.p, node.q) != (emb.p, emb.q):
-            status = "fail"
-            details.append(
+            grade.fail(
                 f"graph node {node.name} carries (p, q) = ({node.p}, "
                 f"{node.q}), but its chain has ({emb.p}, {emb.q})"
             )
     recorded = construction.recorded
-    if "pi1_trivial" in recorded and result.trivial != recorded["pi1_trivial"]:
-        status = "fail"
-        details.append(
-            f"closure trivial = {result.trivial}, recorded "
-            f"{recorded['pi1_trivial']}"
-        )
-    return status, details
+    if recorded.get("pi1_trivial", result.trivial) != result.trivial:
+        grade.fail(f"closure trivial = {result.trivial}, recorded "
+                   f"{recorded['pi1_trivial']}")
 
 
-def _rationality_check(replay: Replay):
+def _rationality_check(replay: Replay, grade: _Grade):
     summary = replay.summary
     verdict, value = rationality_exclusion(summary.k_squared, summary.chi)
     recorded = replay.construction.recorded["rationality_exclusion"]
-    details = [
-        f"second plurigenus chi + K^2 = {value}"
-        + (", positive, so the surface is not rational" if verdict else "")
-    ]
-    status = "pass"
+    grade.note(f"second plurigenus chi + K^2 = {value}"
+               + (", positive, so the surface is not rational" if verdict else ""))
     if value != recorded:
-        status = "fail"
-        details.append(f"recorded value {recorded} differs")
+        grade.fail(f"recorded value {recorded} differs")
     if not verdict:
-        status = "fail"
-        details.append("plurigenus is not positive")
-    return status, details
+        grade.fail("plurigenus is not positive")
 
 
-def _citation_check(replay: Replay):
+def _citation_check(replay: Replay, grade: _Grade):
     construction = replay.construction
-    status = "pass"
-    details = []
     if construction.citation.strip():
-        details.append(construction.citation)
+        grade.note(construction.citation)
     else:
-        status = "fail"
-        details.append("dataset carries no citation string")
+        grade.fail("dataset carries no citation string")
     missing = sorted(
         key
         for key in construction.expected
         if not str(construction.expected_cites.get(key, "")).strip()
     )
     if missing:
-        status = "fail"
-        details.append(
-            "recorded values lacking a citation: " + ", ".join(missing)
-        )
+        grade.fail("recorded values lacking a citation: " + ", ".join(missing))
     elif construction.expected:
-        details.append(
-            f"all {len(construction.expected)} recorded values carry "
-            "citations"
-        )
-    return status, details
+        grade.note(f"all {len(construction.expected)} recorded values carry "
+                   "citations")
 
 
 def _always(construction: Construction) -> bool:

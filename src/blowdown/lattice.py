@@ -17,11 +17,12 @@ every blow-up.  Arithmetic is ``int`` and ``Fraction``, never ``float``.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -352,18 +353,45 @@ class Script:
         return by_step
 
 
+_KINDS = {Mapping: "an object", list: "an array", int: "an integer", str: "a string",
+          bool: "a boolean"}
+
+
+def _typed(value, kind: type, path: str):
+    """``value``, checked to be of a JSON kind; errors name its field path.
+    An integer is an ``int`` proper, so a boolean is not one."""
+    if type(value) is not kind and (kind is int or not isinstance(value, kind)):
+        raise ValueError(f"{path} must be {_KINDS[kind]}")
+    return value
+
+
+def _number(value, path: str) -> Fraction:
+    """A recorded number, given as an integer or a fraction string ``"p/q"``."""
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        try:
+            return Fraction(int(num), int(den) if slash else 1)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(
+        f"{path} must be an integer or a fraction string, got {value!r}"
+    )
+
+
 def _base_degree(name: str, value) -> int:
     """Degree of a base curve given as an int or an ``[h, e1, ...]`` array.
 
     Scripts start on the projective plane, so any exceptional coordinates
     in the array form must be zero.
     """
-    if isinstance(value, int):
-        return value
-    entries = list(value)
-    if not entries:
+    path = f"base_curves.{name}"
+    if not isinstance(value, list):
+        return _typed(value, int, path)
+    if not value:
         raise ValueError(f"base curve {name!r} has an empty class array")
-    head, *tail = (int(v) for v in entries)
+    head, *tail = (_typed(v, int, f"{path}[{i}]") for i, v in enumerate(value))
     if any(tail):
         raise ValueError(
             f"base curve {name!r} has nonzero exceptional coordinates; "
@@ -372,67 +400,87 @@ def _base_degree(name: str, value) -> int:
     return head
 
 
-def parse_script(data: Mapping) -> Script:
-    """Build a :class:`Script` from its JSON object form."""
-    try:
-        raw_base = data["base_curves"]
-        raw_steps = data["steps"]
-    except KeyError as exc:
-        raise ValueError(f"script is missing the {exc.args[0]!r} key") from None
-    base = tuple(
-        (str(name), _base_degree(str(name), deg))
-        for name, deg in raw_base.items()
+def _pair(value, path: str, first: type, second: type) -> tuple:
+    """A two-entry array of the given JSON kinds."""
+    if len(_typed(value, list, path)) != 2:
+        raise ValueError(f"{path} must have two entries")
+    return (_typed(value[0], first, f"{path}[0]"),
+            _typed(value[1], second, f"{path}[1]"))
+
+
+def _expectation(raw, path: str, step_count: int) -> Expectation:
+    """One recorded checkpoint, read from the entry at ``path``."""
+    _typed(raw, Mapping, path)
+    after_step = _typed(raw.get("after_step"), int, f"{path}.after_step")
+    if not 0 <= after_step <= step_count:
+        raise ValueError(
+            f"expectation refers to step {after_step}, "
+            f"but the script has {step_count} steps"
+        )
+    cite = _typed(raw.get("cite", ""), str, f"{path}.cite")
+    if "curve" in raw:
+        return Expectation(
+            after_step=after_step,
+            cite=cite,
+            curve=_typed(raw["curve"], str, f"{path}.curve"),
+            self_int=_number(raw.get("self_int"), f"{path}.self_int"),
+        )
+    return Expectation(
+        after_step=after_step,
+        cite=cite,
+        curves=_pair(raw.get("curves"), f"{path}.curves", str, str),
+        intersection=_number(raw.get("intersection"), f"{path}.intersection"),
     )
+
+
+def parse_script(data: Mapping) -> Script:
+    """Build a :class:`Script` from its JSON object form.
+
+    Degrees, multiplicities and ``after_step`` must be JSON integers, and a
+    checkpoint value an integer or a fraction string ``"p/q"``; anything
+    else raises ``ValueError`` naming the field path.
+    """
+    for key in ("base_curves", "steps"):
+        if key not in data:
+            raise ValueError(f"script is missing the {key!r} key")
+    base = tuple(
+        (name, _base_degree(name, deg))
+        for name, deg in _typed(data["base_curves"], Mapping, "base_curves").items()
+    )
+    raw_steps = [
+        _typed(raw, Mapping, f"steps[{i}]")
+        for i, raw in enumerate(_typed(data["steps"], list, "steps"))
+    ]
     used = {name for name, _ in base}
     used.update(
-        str(raw["name"]) for raw in raw_steps if isinstance(raw, Mapping) and "name" in raw
+        _typed(raw["name"], str, f"steps[{i}].name")
+        for i, raw in enumerate(raw_steps) if "name" in raw
     )
     steps = []
-    for i, raw in enumerate(raw_steps, start=1):
-        try:
-            at = tuple((str(c), int(m)) for c, m in raw["at"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed step {i}: {exc}") from None
+    for i, raw in enumerate(raw_steps):
+        path = f"steps[{i}].at"
+        at = tuple(
+            _pair(point, f"{path}[{j}]", str, int)
+            for j, point in enumerate(_typed(raw.get("at"), list, path))
+        )
         if "name" in raw:
-            name = str(raw["name"])
+            name = raw["name"]
         else:
-            name = f"e{i}"
+            name = f"e{i + 1}"
             while name in used:
                 name += "'"
             used.add(name)
         steps.append(BlowupStep(name=name, center=at))
-    expectations = []
-    for raw in data.get("expectations", ()):
-        after_step = int(raw["after_step"])
-        if not 0 <= after_step <= len(steps):
-            raise ValueError(
-                f"expectation refers to step {after_step}, "
-                f"but the script has {len(steps)} steps"
-            )
-        cite = str(raw.get("cite", ""))
-        if "curve" in raw:
-            expectations.append(
-                Expectation(
-                    after_step=after_step,
-                    cite=cite,
-                    curve=str(raw["curve"]),
-                    self_int=Fraction(raw["self_int"]),
-                )
-            )
-        else:
-            a, b = raw["curves"]
-            expectations.append(
-                Expectation(
-                    after_step=after_step,
-                    cite=cite,
-                    curves=(str(a), str(b)),
-                    intersection=Fraction(raw["intersection"]),
-                )
-            )
+    expectations = tuple(
+        _expectation(raw, f"expectations[{i}]", len(steps))
+        for i, raw in enumerate(
+            _typed(data.get("expectations", []), list, "expectations")
+        )
+    )
     return Script(
         base_curves=base,
         steps=tuple(steps),
-        expectations=tuple(expectations),
+        expectations=expectations,
     )
 
 

@@ -17,13 +17,14 @@ every forcing step.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 from .contraction import ChainEmbedding, pullback_canonical
-from .lattice import Rational, SurfaceModel
+from .lattice import Rational, SurfaceModel, _typed
 from .tchains import continuants
 
 __all__ = [
@@ -90,9 +91,7 @@ class ConnectionGraph:
 
 def _count(value, path: str) -> int:
     """A positive integer field of a graph; errors name its path."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{path} must be an integer")
-    if value < 1:
+    if _typed(value, int, path) < 1:
         raise ValueError(f"{path} must be positive, got {value}")
     return value
 
@@ -106,8 +105,7 @@ def _list(data: Mapping, key: str) -> list:
 
 def _fields(entry, path: str, *keys: str) -> tuple[str, ...]:
     """Required fields of a graph entry, as strings; errors name their path."""
-    if not isinstance(entry, Mapping):
-        raise ValueError(f"{path} must be an object")
+    _typed(entry, Mapping, path)
     for key in keys:
         if key not in entry:
             raise ValueError(f"{path}.{key} is missing")
@@ -122,8 +120,7 @@ def parse_graph(data: Mapping) -> ConnectionGraph:
     must be a positive integer.  Anything else raises ``ValueError``
     naming the field.
     """
-    if not isinstance(data, Mapping):
-        raise ValueError("graph must be an object")
+    _typed(data, Mapping, "graph")
     parsed = []
     for i, n in enumerate(_list(data, "nodes")):
         path = f"graph.nodes[{i}]"
@@ -166,12 +163,10 @@ def meridian_powers(bs: Sequence[int]) -> tuple[int, ...]:
     exponent 1.  The leading curve's exponent is coprime to the total
     determinant, so either end generates and may serve as the unit.
     """
-    chain = tuple(bs)
-    out = []
-    for i in range(len(chain)):
-        suffix = chain[i + 1 :]
-        out.append(continuants(suffix)[-1] if suffix else 1)
-    return tuple(out)
+    # The continuants of the reversed chain are those of every trailing
+    # subchain, longest last: one pass gives them all.
+    trailing = continuants(tuple(bs)[::-1])
+    return (*reversed(trailing[:-1]), 1)
 
 
 @dataclass(frozen=True)

@@ -393,7 +393,33 @@ def test_recorded_table_that_is_an_array_exits_2(tmp_path, main_construction):
     (("expected", "pi1_trivial", "value"), "yes",
      "expected.pi1_trivial must be a boolean"),
     (("graph", "nodes", 0, "q"), "x", "graph.nodes[0].q must be an integer"),
-], ids=["k_squared", "discrepancy", "erratum", "pi1_trivial", "graph_node_q"])
+    (("steps", 0, "at", 0, 1), 1.5, "steps[0].at[0][1] must be an integer"),
+    (("steps", 0, "at", 0, 1), "1", "steps[0].at[0][1] must be an integer"),
+    (("steps", 0, "at", 0, 1), True, "steps[0].at[0][1] must be an integer"),
+    (("steps", 0, "at", 0), ["B"], "steps[0].at[0] must have two entries"),
+    (("base_curves", "B"), [1, 0.5], "base_curves.B[1] must be an integer"),
+    (("base_curves", "B"), True, "base_curves.B must be an integer"),
+    (("base_curves", "B"), "1", "base_curves.B must be an integer"),
+    (("expectations", 0, "after_step"), 1.7,
+     "expectations[0].after_step must be an integer"),
+    (("expectations", 0, "self_int"), 1.5,
+     "expectations[0].self_int must be an integer or a fraction string"),
+    (("expectations", 20, "intersection"), True,
+     "expectations[20].intersection must be an integer or a fraction string"),
+    (("nef_test_curves",), 5, "nef_test_curves must be an array"),
+    (("nef_test_curves",), "abc", "nef_test_curves must be an array"),
+    (("nef_test_curves", 0), 3, "nef_test_curves[0] must be a string"),
+    (("parity_override",), 5, "parity_override must be a string"),
+    (("name",), 5, "name must be a string"),
+    (("title",), ["x"], "title must be a string"),
+    (("citation",), 7, "citation must be a string"),
+    (("fiber_expansions", "F1"), "F1", "fiber_expansions.F1 must be an array"),
+], ids=["k_squared", "discrepancy", "erratum", "pi1_trivial", "graph_node_q",
+        "multiplicity_float", "multiplicity_string", "multiplicity_bool",
+        "center_not_a_pair", "degree_float_entry", "degree_bool", "degree_string",
+        "after_step_float", "self_int_float", "intersection_bool",
+        "nef_curves_int", "nef_curves_string", "nef_curve_int", "parity_override",
+        "name", "title", "citation", "fiber_expansion"])
 def test_malformed_recorded_field_exits_2(write_mutant, main_construction, path,
                                           value, message):
     result = run_cli("verify", "--dataset",

@@ -44,6 +44,23 @@ def test_json_envelopes_match_the_golden_files(command, dataset):
     assert text.encode("utf-8") == golden.read_bytes()
 
 
+FAILURES = json.loads((GOLDEN / "verify_failures.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "edit", FAILURES,
+    ids=[".".join(map(str, edit["path"])) for edit in FAILURES],
+)
+def test_failing_reports_match_the_golden_file(edit, write_mutant,
+                                               main_construction):
+    """The report of each single edit of ``main_k3``, line for line, as
+    pinned in ``golden/verify_failures.json``."""
+    rc, text = run_json("verify", "--dataset", write_mutant(
+        main_construction, edit["path"], edit["value"]))
+    assert rc == 1
+    assert json.loads(text)["result"]["checks"] == edit["checks"]
+
+
 def _no_float(text):
     raise AssertionError(f"float {text} in a JSON envelope")
 

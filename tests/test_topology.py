@@ -1,6 +1,7 @@
 """Boundary lens spaces, the fundamental group closure and surface invariants."""
 
 import dataclasses
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -46,6 +47,21 @@ def test_meridian_powers_frozen_values():
     assert meridian_powers(hj_expand(49, 6)) == (6, 5, 4, 3, 2, 1)
     assert meridian_powers(hj_expand(2304, 815)) == (815, 141, 31, 14, 11, 8, 5, 2, 1)
     assert meridian_powers((4,)) == (1,)
+
+
+def test_meridian_powers_are_the_trailing_continuants():
+    rng = random.Random(7)
+    chains = [
+        tuple(rng.randint(2, 9) for _ in range(rng.randint(1, 40)))
+        for _ in range(300)
+    ]
+    chains.append(hj_expand(1001 * 1001, 1001 * 1 - 1))  # cpq 1001 1
+    for bs in chains:
+        expected = tuple(
+            continuants(bs[i + 1:])[-1] if i + 1 < len(bs) else 1
+            for i in range(len(bs))
+        )
+        assert meridian_powers(bs) == expected, bs
 
 
 def test_meridian_powers_are_suffix_continuants():

@@ -8,6 +8,10 @@ mathematical failure (a verification check fails, a chain does not
 contract), 2 for usage or input errors, and 141 (128 + SIGPIPE) when the
 reader of stdout goes away before the output is written, as in
 ``blowdown tchain gen --max-len 14 | head -1``.
+
+Each handler builds its one result and hands it, with its text lines, to
+:func:`_emit`; a handler that cannot finish raises :class:`_Exit`.  Only
+:func:`main` writes to stderr and picks the exit code.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import json
 import os
 import sys
 from math import gcd
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from . import __version__
 from .contraction import chain_discrepancies, nef_values
@@ -74,80 +78,53 @@ def _render_json(command: str, input_sha256: Union[str, None], result) -> str:
     return json.dumps(envelope, sort_keys=True, indent=2, default=str)
 
 
-def _emit_json(command: str, input_sha256: Union[str, None], result) -> None:
-    print(_render_json(command, input_sha256, result))
+class _Exit(Exception):
+    """``_Exit(message, code)`` ends a command early: :func:`main` writes
+    the message to stderr and exits with the code."""
 
 
-def _resolve_source(args) -> Union[str, None]:
-    """Pick the dataset source from the positional name or ``--dataset``.
-
-    Prints a usage error and returns ``None`` when the two conflict or when
-    neither is present.
-    """
-    dataset = getattr(args, "dataset", None)
-    positional = getattr(args, "construction", None)
-    if dataset and positional:
-        print(
-            "error: give either a construction name or --dataset, not both",
-            file=sys.stderr,
-        )
-        return None
-    source = dataset or positional
-    if not source:
-        print(
-            "error: name a construction or pass --dataset <path>",
-            file=sys.stderr,
-        )
-        return None
-    return source
+def _emit(args, command: str, input_sha256: Union[str, None], result,
+          lines: Iterable[str], code: int = 0) -> int:
+    """Print a command's one result and return its exit code: the ``--json``
+    envelope of ``result``, or else ``lines``, which a handler may pass as a
+    generator so that they are built only when printed."""
+    if args.json:
+        print(_render_json(command, input_sha256, result))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 def _cmd_cpq(args) -> int:
     p, q = args.p, args.q
     if not 0 < q < p or gcd(p, q) != 1:
-        print(
-            f"error: need coprime integers 0 < q < p, got p={p}, q={q}",
-            file=sys.stderr,
-        )
-        return 2
+        raise _Exit("error: need coprime integers 0 < q < p, "
+                    f"got p={p}, q={q}", 2)
     length = wahl_chain_length(p, q)
     if length > MAX_CHAIN_LENGTH:
-        print(
-            f"error: the chain of p={p}, q={q} has {length} curves, "
-            f"more than {MAX_CHAIN_LENGTH}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        chain = hj_expand(p * p, p * q - 1)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    ds = chain_discrepancies(chain)
+        raise _Exit(f"error: the chain of p={p}, q={q} has {length} curves, "
+                    f"more than {MAX_CHAIN_LENGTH}", 2)
+    chain = hj_expand(p * p, p * q - 1)
+    ds = [str(d) for d in chain_discrepancies(chain)]
     powers = meridian_powers(chain)
-    if args.json:
-        _emit_json(
-            "cpq",
-            _digest_args({"p": p, "q": q}),
-            {
-                "p": p,
-                "q": q,
-                "chain": list(chain),
-                "length": len(chain),
-                "determinant": p * p,
-                "discrepancies": [str(d) for d in ds],
-                "meridian_powers": list(powers),
-            },
-        )
-        return 0
-    print(f"C({p},{q}): " + " ".join(str(b) for b in chain))
-    print(
+    result = {
+        "p": p,
+        "q": q,
+        "chain": list(chain),
+        "length": len(chain),
+        "determinant": p * p,
+        "discrepancies": ds,
+        "meridian_powers": list(powers),
+    }
+    lines = (
+        f"C({p},{q}): " + " ".join(str(b) for b in chain),
         f"continued fraction {p * p}/{p * q - 1}, length {len(chain)}, "
-        f"lens order {p * p}"
+        f"lens order {p * p}",
+        "discrepancies: " + ", ".join(ds),
+        "meridian powers: " + ", ".join(str(w) for w in powers),
     )
-    print("discrepancies: " + ", ".join(str(d) for d in ds))
-    print("meridian powers: " + ", ".join(str(w) for w in powers))
-    return 0
+    return _emit(args, "cpq", _digest_args({"p": p, "q": q}), result, lines)
 
 
 def _tchain_records(pairs):
@@ -189,7 +166,7 @@ def _record_json(record: dict) -> str:
 
 def _stream_tchain_json(max_len: int, records) -> None:
     """Write the envelope of ``tchain gen --json`` with each record as it
-    comes, byte for byte what :func:`_emit_json` writes for the record list.
+    comes, byte for byte what :func:`_render_json` gives for the record list.
 
     The envelope is rendered once around placeholders: sorted keys put
     ``chains`` before ``count``, so the count is filled in after the last
@@ -220,12 +197,8 @@ def _cmd_tchain_gen(args) -> int:
     document that does not parse).
     """
     if not 1 <= args.max_len <= MAX_GEN_LENGTH:
-        print(
-            f"error: --max-len must lie between 1 and {MAX_GEN_LENGTH}, "
-            f"got {args.max_len}",
-            file=sys.stderr,
-        )
-        return 2
+        raise _Exit(f"error: --max-len must lie between 1 and {MAX_GEN_LENGTH}, "
+                    f"got {args.max_len}", 2)
     records = _tchain_records(iter_class_t(args.max_len))
     try:
         if args.json:
@@ -235,8 +208,7 @@ def _cmd_tchain_gen(args) -> int:
         for count, record in enumerate(records, start=1):
             print(f"{list(record['chain'])}  {_params_line(record)}")
     except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise _Exit(f"error: {exc}", 1)
     print(f"{count} chains of length <= {args.max_len}")
     return 0
 
@@ -245,59 +217,64 @@ def _cmd_tchain_check(args) -> int:
     try:
         result = classify_chain(tuple(args.entries))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _Exit(f"error: {exc}", 2)
     payload: dict = {
         "chain": list(result.chain),
         "kind": result.kind,
         "class_t": result.is_class_t,
     }
+    lines: tuple = (f"{list(result.chain)}: {result.kind}",)
     if result.is_class_t:
         payload["base"] = list(result.base or ())
         payload["moves"] = list(result.moves)
         try:
             (record,) = _tchain_records([(result.chain, result.params)])
         except ArithmeticError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            raise _Exit(f"error: {exc}", 1)
         payload.update({k: v for k, v in record.items() if k != "chain"})
-    if args.json:
-        _emit_json("tchain check", _digest_args({"entries": args.entries}), payload)
-        return 0
-    if result.is_class_t:
-        print(f"{list(result.chain)}: class T ({result.kind})")
-        print(f"base {list(result.base or ())}, moves {list(result.moves)}")
-        print(_params_line(payload))
-    else:
-        print(f"{list(result.chain)}: {result.kind}")
-    return 0
+        lines = (
+            f"{list(result.chain)}: class T ({result.kind})",
+            f"base {payload['base']}, moves {payload['moves']}",
+            _params_line(payload),
+        )
+    return _emit(args, "tchain check", _digest_args({"entries": args.entries}),
+                 payload, lines)
 
 
-def _dataset_command(sub, name: str, help_text: str, run, failure: str):
-    """Add a subcommand that reads one construction through a :class:`Replay`.
+def _load_replay(source: str) -> Replay:
+    return Replay(load_construction(source))
+
+
+def _dataset_command(sub, name: str, help_text: str, run, failure: str,
+                     load=_load_replay, metavar=None, source_help=None,
+                     dataset_help="path to a construction JSON file"):
+    """Add a subcommand that runs ``run(args, load(source))`` on the dataset
+    named positionally or by ``--dataset``.
 
     Usage and input errors exit 2; a stage of the replay that fails ends
     the command with ``failure`` and exit 1.
     """
 
     def handler(args) -> int:
-        source = _resolve_source(args)
-        if source is None:
-            return 2
+        if args.dataset and args.construction:
+            raise _Exit("error: give either a construction name or --dataset, "
+                        "not both", 2)
+        source = args.dataset or args.construction
+        if not source:
+            raise _Exit("error: name a construction or pass --dataset <path>", 2)
         try:
-            replay = Replay(load_construction(source))
+            loaded = load(source)
         except (FileNotFoundError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise _Exit(f"error: {exc}", 2)
         try:
-            return run(args, replay)
+            return run(args, loaded)
         except STAGE_ERRORS as exc:
-            print(f"{failure}: {exc}", file=sys.stderr)
-            return 1
+            raise _Exit(f"{failure}: {exc}", 1)
 
     command = sub.add_parser(name, help=help_text)
-    command.add_argument("construction", nargs="?")
-    command.add_argument("--dataset", help="path to a construction JSON file")
+    command.add_argument("construction", nargs="?", metavar=metavar,
+                         help=source_help)
+    command.add_argument("--dataset", help=dataset_help)
     command.add_argument("--json", action="store_true")
     command.set_defaults(handler=handler)
     return command
@@ -312,94 +289,91 @@ def _cmd_contract(args, replay: Replay) -> int:
     )
     k2 = replay.k_squared
     k2_res = model.canonical_self_intersection()
-    expansion: Union[dict, None]
+    expansion: Union[list, None]
     try:
-        expansion = {
-            name: value for name, value in replay.coefficients.items() if value
-        }
+        expansion = sorted(
+            (name, value) for name, value in replay.coefficients.items() if value
+        )
     except ValueError:
         expansion = None
-    if args.json or args.report == "json":
-        result = {
-            "construction": construction.name,
-            "chains": [
-                {
-                    "label": emb.label,
-                    "p": emb.p,
-                    "q": emb.q,
-                    "curves": list(emb.curves),
-                    "shape": list(bs),
-                    "discrepancies": [str(d) for d in ds],
-                }
-                for emb, bs, ds in chains
-            ],
-            "k_squared_resolution": str(k2_res),
-            "k_squared": str(k2),
-            "expansion": (
-                {name: str(v) for name, v in sorted(expansion.items())}
-                if expansion is not None
-                else None
-            ),
-            "nef_values": {name: str(value) for name, value in nef},
-        }
-        _emit_json("contract", construction.sha256, result)
-        return 0
-    print(f"{construction.name}: {len(chains)} chains contract")
-    for emb, bs, ds in chains:
-        print(f"  {emb.label}: {list(bs)} on {list(emb.curves)}")
-        print("    discrepancies: " + ", ".join(str(d) for d in ds))
-    print(f"K^2: {k2_res} -> {k2}")
-    if expansion is not None:
-        print("pullback canonical class over curve classes:")
-        for name, value in sorted(expansion.items()):
-            print(f"  {value} {name}")
-    if nef:
-        print("nef pairings:")
-        for name, value in nef:
-            print(f"  pullback . {name} = {value}")
-    return 0
+    result = {
+        "construction": construction.name,
+        "chains": [
+            {
+                "label": emb.label,
+                "p": emb.p,
+                "q": emb.q,
+                "curves": list(emb.curves),
+                "shape": list(bs),
+                "discrepancies": [str(d) for d in ds],
+            }
+            for emb, bs, ds in chains
+        ],
+        "k_squared_resolution": str(k2_res),
+        "k_squared": str(k2),
+        "expansion": (
+            {name: str(v) for name, v in expansion}
+            if expansion is not None
+            else None
+        ),
+        "nef_values": {name: str(value) for name, value in nef},
+    }
+
+    def text():
+        yield f"{construction.name}: {len(chains)} chains contract"
+        for emb, bs, ds in chains:
+            yield f"  {emb.label}: {list(bs)} on {list(emb.curves)}"
+            yield "    discrepancies: " + ", ".join(str(d) for d in ds)
+        yield f"K^2: {k2_res} -> {k2}"
+        if expansion is not None:
+            yield "pullback canonical class over curve classes:"
+            yield from (f"  {value} {name}" for name, value in expansion)
+        if nef:
+            yield "nef pairings:"
+            yield from (f"  pullback . {name} = {value}" for name, value in nef)
+
+    # ``--report json`` is the older spelling of ``--json``.
+    args.json = args.json or args.report == "json"
+    return _emit(args, "contract", construction.sha256, result, text())
 
 
 def _cmd_invariants(args, replay: Replay) -> int:
     construction = replay.construction
     summary = replay.summary
     excluded, plurigenus = rationality_exclusion(summary.k_squared, summary.chi)
-    if args.json:
-        _emit_json(
-            "invariants",
-            construction.sha256,
-            {
-                "construction": construction.name,
-                "k_squared": str(summary.k_squared),
-                "euler": summary.euler,
-                "signature": summary.signature,
-                "b2_plus": summary.b2_plus,
-                "b2_minus": summary.b2_minus,
-                "chi": summary.chi,
-                "noether_ok": summary.noether_ok,
-                "parity": summary.parity,
-                "parity_reason": summary.parity_reason,
-                "pi1_trivial": summary.pi1_trivial,
-                "fingerprint": summary.fingerprint,
-                "second_plurigenus": str(plurigenus),
-                "rational": not excluded,
-            },
-        )
-        return 0
-    print(f"{construction.name}:")
-    print(f"  K^2 = {summary.k_squared}, e = {summary.euler}, "
-          f"signature = {summary.signature}")
-    print(f"  b2+ = {summary.b2_plus}, b2- = {summary.b2_minus}, "
-          f"chi = {summary.chi}")
-    print(f"  Noether: {'holds' if summary.noether_ok else 'FAILS'}")
-    print(f"  parity: {summary.parity} ({summary.parity_reason})")
-    if summary.pi1_trivial is not None:
-        print(f"  pi1 trivial: {summary.pi1_trivial}")
-    if summary.fingerprint:
-        print(f"  homeomorphism type: {summary.fingerprint}")
-    print(f"  second plurigenus chi + K^2 = {plurigenus}"
-          + (" (not rational)" if excluded else ""))
-    return 0
+    result = {
+        "construction": construction.name,
+        "k_squared": str(summary.k_squared),
+        "euler": summary.euler,
+        "signature": summary.signature,
+        "b2_plus": summary.b2_plus,
+        "b2_minus": summary.b2_minus,
+        "chi": summary.chi,
+        "noether_ok": summary.noether_ok,
+        "parity": summary.parity,
+        "parity_reason": summary.parity_reason,
+        "pi1_trivial": summary.pi1_trivial,
+        "fingerprint": summary.fingerprint,
+        "second_plurigenus": str(plurigenus),
+        "rational": not excluded,
+    }
+
+    def text():
+        yield f"{construction.name}:"
+        yield (f"  K^2 = {summary.k_squared}, e = {summary.euler}, "
+               f"signature = {summary.signature}")
+        yield (f"  b2+ = {summary.b2_plus}, b2- = {summary.b2_minus}, "
+               f"chi = {summary.chi}")
+        yield f"  Noether: {'holds' if summary.noether_ok else 'FAILS'}"
+        yield f"  parity: {summary.parity} ({summary.parity_reason})"
+        if summary.pi1_trivial is not None:
+            yield f"  pi1 trivial: {summary.pi1_trivial}"
+        if summary.fingerprint:
+            yield f"  homeomorphism type: {summary.fingerprint}"
+        yield (f"  second plurigenus chi + K^2 = {plurigenus}"
+               + (" (not rational)" if excluded else ""))
+
+    return _emit(args, "invariants", construction.sha256, result, text())
 
 
 def _load_graph(source: str):
@@ -414,76 +388,46 @@ def _load_graph(source: str):
     return construction.graph, construction.sha256
 
 
-def _cmd_pi1(args) -> int:
-    source = _resolve_source(args)
-    if source is None:
-        return 2
-    try:
-        graph, digest = _load_graph(source)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_pi1(args, loaded) -> int:
+    graph, digest = loaded
     result = pi1_closure(graph)
-    if args.json:
-        _emit_json(
-            "pi1",
-            digest,
-            {
-                "trivial": result.trivial,
-                "orders": {name: order for name, order in result.orders},
-                "steps": [step.describe() for step in result.steps],
-                "reconstructed": graph.reconstructed,
-            },
-        )
-        return 0
-    for line in result.describe():
-        print(line)
-    return 0
+    return _emit(args, "pi1", digest, {
+        "trivial": result.trivial,
+        "orders": {name: order for name, order in result.orders},
+        "steps": [step.describe() for step in result.steps],
+        "reconstructed": graph.reconstructed,
+    }, result.describe())
 
 
 def _cmd_verify(args, replay: Replay) -> int:
     construction = replay.construction
     report = replay.verify()
-    if args.json:
-        _emit_json("verify", construction.sha256, report.as_dict())
-        return 0 if report.ok else 1
-    print(f"verify {construction.name} (sha256 {construction.sha256[:12]})")
-    for check in report.checks:
-        tag = {"pass": "PASS", "erratum": "ERRATUM", "fail": "FAIL"}[check.status]
-        print(f"[{tag}] {check.name}")
-        for line in check.details:
-            print(f"    {line}")
-    if report.ok and report.errata_found:
-        print("result: OK (recorded errata confirmed)")
-    elif report.ok:
-        print("result: OK")
-    else:
-        print("result: FAIL")
-    return 0 if report.ok else 1
+
+    def text():
+        yield f"verify {construction.name} (sha256 {construction.sha256[:12]})"
+        for check in report.checks:
+            tag = {"pass": "PASS", "erratum": "ERRATUM", "fail": "FAIL"}[check.status]
+            yield f"[{tag}] {check.name}"
+            yield from (f"    {line}" for line in check.details)
+        if report.ok and report.errata_found:
+            yield "result: OK (recorded errata confirmed)"
+        else:
+            yield "result: OK" if report.ok else "result: FAIL"
+
+    return _emit(args, "verify", construction.sha256, report.as_dict(), text(),
+                 0 if report.ok else 1)
 
 
 def _cmd_list(args) -> int:
-    names = available_constructions()
     entries = []
-    for name in names:
+    for name in available_constructions():
         try:
-            construction = load_construction(name)
-            entries.append((name, construction.title))
+            entries.append((name, load_construction(name).title))
         except (FileNotFoundError, ValueError):
             entries.append((name, "(unreadable)"))
-    if args.json:
-        _emit_json(
-            "list",
-            None,
-            {"constructions": [{"name": n, "title": t} for n, t in entries]},
-        )
-        return 0
-    if not entries:
-        print("no constructions found")
-        return 0
-    for name, title in entries:
-        print(f"{name}: {title}" if title else name)
-    return 0
+    result = {"constructions": [{"name": n, "title": t} for n, t in entries]}
+    lines = [f"{name}: {title}" if title else name for name, title in entries]
+    return _emit(args, "list", None, result, lines or ["no constructions found"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -523,20 +467,12 @@ def build_parser() -> argparse.ArgumentParser:
         sub, "invariants", "invariants of the blown-down surface",
         _cmd_invariants, "invariants unavailable",
     )
-
-    pi1 = sub.add_parser(
-        "pi1", help="run the fundamental group closure on a connection graph"
+    _dataset_command(
+        sub, "pi1", "run the fundamental group closure on a connection graph",
+        _cmd_pi1, "pi1 closure fails", load=_load_graph, metavar="graph",
+        source_help="graph JSON file or construction name",
+        dataset_help="path to a graph or construction JSON file",
     )
-    pi1.add_argument(
-        "construction", nargs="?", metavar="graph",
-        help="graph JSON file or construction name",
-    )
-    pi1.add_argument(
-        "--dataset", help="path to a graph or construction JSON file"
-    )
-    pi1.add_argument("--json", action="store_true")
-    pi1.set_defaults(handler=_cmd_pi1)
-
     _dataset_command(
         sub, "verify", "replay a construction and grade every recorded value",
         _cmd_verify, "verification fails",
@@ -558,7 +494,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Union[Sequence[str], None] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        code = args.handler(args)
+        try:
+            code = args.handler(args)
+        except _Exit as exc:
+            message, code = exc.args
+            print(message, file=sys.stderr)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader left (``| head``): send what is still buffered to

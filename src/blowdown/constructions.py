@@ -126,7 +126,7 @@ def _split_expected(raw: Mapping) -> tuple[dict, dict]:
     for key, entry in raw.items():
         if isinstance(entry, Mapping) and ("value" in entry or "values" in entry):
             expected[key] = entry["values"] if "values" in entry else entry["value"]
-            cites[key] = str(entry.get("cite", ""))
+            cites[key] = _typed(entry.get("cite", ""), str, f"expected.{key}.cite")
         else:
             expected[key] = entry
             cites[key] = ""
@@ -549,7 +549,7 @@ class Replay:
         except STAGE_ERRORS as exc:
             grade = _Grade()
             grade.fail(str(exc))
-        cite = str(construction.expected_cites.get(cite_key, "")) if cite_key else ""
+        cite = construction.expected_cites.get(cite_key, "") if cite_key else ""
         if grade.status != "pass" and cite:
             grade.note(f"recorded at: {cite}")
         if grade.status == "fail" and construction.citation:
@@ -835,7 +835,7 @@ def _citation_check(replay: Replay, grade: _Grade):
     missing = sorted(
         key
         for key in construction.expected
-        if not str(construction.expected_cites.get(key, "")).strip()
+        if not construction.expected_cites.get(key, "").strip()
     )
     if missing:
         grade.fail("recorded values lacking a citation: " + ", ".join(missing))

@@ -104,20 +104,21 @@ def _list(data: Mapping, key: str) -> list:
 
 
 def _fields(entry, path: str, *keys: str) -> tuple[str, ...]:
-    """Required fields of a graph entry, as strings; errors name their path."""
+    """Required string fields of a graph entry; errors name their path."""
     _typed(entry, Mapping, path)
     for key in keys:
         if key not in entry:
             raise ValueError(f"{path}.{key} is missing")
-    return tuple(str(entry[key]) for key in keys)
+    return tuple(_typed(entry[key], str, f"{path}.{key}") for key in keys)
 
 
 def parse_graph(data: Mapping) -> ConnectionGraph:
     """Build a graph from its JSON object form.
 
-    ``nodes`` and ``edges`` must be lists, each node needs a ``name`` and
-    each edge its ``a`` and ``b``; an order, ``p``, ``q`` or meridian power
-    must be a positive integer.  Anything else raises ``ValueError``
+    ``nodes`` and ``edges`` must be lists, each node needs a string
+    ``name`` and each edge its string ends ``a`` and ``b``; an order,
+    ``p``, ``q`` or meridian power must be a positive integer, and
+    ``reconstructed`` a boolean.  Anything else raises ``ValueError``
     naming the field.
     """
     _typed(data, Mapping, "graph")
@@ -150,7 +151,8 @@ def parse_graph(data: Mapping) -> ConnectionGraph:
     return ConnectionGraph(
         nodes=nodes,
         edges=tuple(edges),
-        reconstructed=bool(data.get("reconstructed", False)),
+        reconstructed=_typed(data.get("reconstructed", False), bool,
+                             "graph.reconstructed"),
     )
 
 

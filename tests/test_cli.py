@@ -13,6 +13,7 @@ import pytest
 
 from blowdown import cli
 from blowdown.cli import MAX_CHAIN_LENGTH, MAX_GEN_LENGTH
+from blowdown.tchains import ClassTResult
 
 
 def run_cli(*args):
@@ -248,8 +249,16 @@ def test_pi1_graph_file(tmp_path):
      "graph.edges[0].b is missing"),
     ({"nodes": [{"name": "A", "order": 4}], "edges": [{"b": "A"}]},
      "graph.edges[0].a is missing"),
+    ({"nodes": [{"name": 5, "order": 4}], "edges": []},
+     "graph.nodes[0].name must be a string"),
+    ({"nodes": [{"name": "A", "order": 4}],
+      "edges": [{"a": "A", "b": 5, "power_a": 1, "power_b": 1}]},
+     "graph.edges[0].b must be a string"),
+    ({"nodes": [{"name": "A", "order": 4}], "edges": [], "reconstructed": "no"},
+     "graph.reconstructed must be a boolean"),
 ], ids=["nodes_not_a_list", "no_edges", "node_without_name", "node_not_object",
-        "edge_without_b", "edge_without_a"])
+        "edge_without_b", "edge_without_a", "node_name_not_a_string",
+        "edge_end_not_a_string", "reconstructed_not_a_boolean"])
 def test_malformed_graph_file_names_the_field(tmp_path, graph, message):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(graph))
@@ -414,12 +423,17 @@ def test_recorded_table_that_is_an_array_exits_2(tmp_path, main_construction):
     (("title",), ["x"], "title must be a string"),
     (("citation",), 7, "citation must be a string"),
     (("fiber_expansions", "F1"), "F1", "fiber_expansions.F1 must be an array"),
+    (("expected", "k_squared", "cite"), 5, "expected.k_squared.cite must be a string"),
+    (("graph", "reconstructed"), "no", "graph.reconstructed must be a boolean"),
+    (("graph", "nodes", 0, "name"), 5, "graph.nodes[0].name must be a string"),
+    (("graph", "edges", 0, "a"), 5, "graph.edges[0].a must be a string"),
 ], ids=["k_squared", "discrepancy", "erratum", "pi1_trivial", "graph_node_q",
         "multiplicity_float", "multiplicity_string", "multiplicity_bool",
         "center_not_a_pair", "degree_float_entry", "degree_bool", "degree_string",
         "after_step_float", "self_int_float", "intersection_bool",
         "nef_curves_int", "nef_curves_string", "nef_curve_int", "parity_override",
-        "name", "title", "citation", "fiber_expansion"])
+        "name", "title", "citation", "fiber_expansion", "cite",
+        "graph_reconstructed", "graph_node_name", "graph_edge_end"])
 def test_malformed_recorded_field_exits_2(write_mutant, main_construction, path,
                                           value, message):
     result = run_cli("verify", "--dataset",
@@ -466,3 +480,69 @@ def test_graph_node_must_carry_its_chains_parameters(write_mutant, dataset,
     assert (f"graph node {node.name} carries (p, q) = ({node.p + 2}, {node.q}), "
             f"but its chain has ({node.p}, {node.q})") in pi1["details"]
     assert f"source: {construction.citation}" in pi1["details"]
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+TEXT_CASES = json.loads((GOLDEN / "cli_text.json").read_text(encoding="utf-8"))
+
+
+def run_in_process(capsys, *argv):
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("case", TEXT_CASES,
+                         ids=[" ".join(case["argv"]) for case in TEXT_CASES])
+def test_text_output_matches_the_golden_file(monkeypatch, capsys, case):
+    """The text report of each command, with its stderr and exit code, as
+    pinned in ``golden/cli_text.json``."""
+    monkeypatch.delenv("BLOWDOWN_DATA_DIR", raising=False)
+    code, out, err = run_in_process(capsys, *case["argv"])
+    assert (out, err, code) == (case["stdout"], case["stderr"], case["code"])
+
+
+@pytest.mark.parametrize("command", ["verify", "contract", "invariants", "pi1"])
+def test_source_must_be_given_once(capsys, main_construction, command):
+    code, out, err = run_in_process(
+        capsys, command, "main_k3", "--dataset", main_construction.source_path)
+    assert (code, out) == (2, "")
+    assert err == "error: give either a construction name or --dataset, not both\n"
+    code, out, err = run_in_process(capsys, command, "--json")
+    assert (code, out) == (2, "")
+    assert err == "error: name a construction or pass --dataset <path>\n"
+
+
+@pytest.mark.parametrize("command,failure", [
+    ("contract", "contraction fails"), ("invariants", "invariants unavailable"),
+])
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_failing_stage_exits_1_on_stderr(capsys, write_mutant, main_construction,
+                                         command, failure, flags):
+    path = write_mutant(main_construction, ("chains", 0, "q"), 3)
+    code, out, err = run_in_process(capsys, command, "--dataset", path, *flags)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"{failure}: C(35,3): shape (6, 8, 2, 2, 2, 3, 2, 2, 2, 2)")
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_tchain_check_exits_1_on_a_bad_triple(monkeypatch, capsys, flags):
+    monkeypatch.setattr(ClassTResult, "params", property(lambda self: (1, 3, 1)))
+    code, out, err = run_in_process(capsys, "tchain", "check", "2", "5", *flags)
+    assert (code, out) == (1, "")
+    assert err == ("error: chain [2, 5] has fraction 9/5, "
+                   "not dn^2/(dna - 1) for (d, n, a) = (1, 3, 1)\n")
+
+
+def test_list_with_no_datasets(monkeypatch, capsys, tmp_path):
+    monkeypatch.setenv("BLOWDOWN_DATA_DIR", str(tmp_path))
+    assert run_in_process(capsys, "list") == (0, "no constructions found\n", "")
+    code, out, err = run_in_process(capsys, "list", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"] == {"constructions": []}
+
+
+def test_list_marks_an_unreadable_dataset(monkeypatch, capsys, tmp_path):
+    (tmp_path / "broken.json").write_text("{not json")
+    monkeypatch.setenv("BLOWDOWN_DATA_DIR", str(tmp_path))
+    assert run_in_process(capsys, "list") == (0, "broken: (unreadable)\n", "")

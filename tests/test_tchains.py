@@ -289,16 +289,16 @@ def test_tchain_gen_json_matches_the_golden_file():
 
 
 def test_streamed_json_is_the_rendered_envelope():
-    # The streamed document against _emit_json over the listed records.
+    # The streamed document against _render_json over the listed records.
     for max_len in range(1, 13):
         records = list(cli._tchain_records(iter_class_t(max_len)))
         out = io.StringIO()
         with redirect_stdout(out):
-            cli._emit_json(
+            print(cli._render_json(
                 "tchain gen",
                 cli._digest_args({"max_len": max_len}),
                 {"max_len": max_len, "count": len(records), "chains": records},
-            )
+            ))
         rc, text = run_cli_json("tchain", "gen", "--max-len", str(max_len))
         assert rc == 0
         assert text == out.getvalue()

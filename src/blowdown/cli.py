@@ -36,6 +36,7 @@ from .constructions import (
     read_dataset,
 )
 from .tchains import (
+    MAX_CHAIN_LENGTH,
     classify_chain,
     fraction_terms,
     hj_expand,
@@ -50,9 +51,6 @@ from .topology import (
 )
 
 __all__ = ["main"]
-
-MAX_CHAIN_LENGTH = 1000
-"""Longest chain ``cpq`` expands; the chain's length grows like ``p/q``."""
 
 MAX_GEN_LENGTH = 17
 """Largest ``tchain gen --max-len``: there are ``2**L - 1`` chains of

@@ -38,12 +38,11 @@ from .lattice import (
     SurfaceModel,
     _number,
     _typed,
-    check_expectations,
-    iter_models,
+    grade_checkpoints,
     parse_script,
     run_script,
 )
-from .tchains import wahl_params
+from .tchains import MAX_CHAIN_LENGTH, wahl_chain_length, wahl_params
 from .topology import (
     ConnectionGraph,
     blowdown_invariants,
@@ -191,10 +190,18 @@ def _parse_chains(raw) -> tuple[ChainEmbedding, ...]:
     for i, entry in enumerate(_typed(raw, list, "chains")):
         path = f"chains[{i}]"
         _typed(entry, Mapping, path)
+        p = _typed(entry.get("p"), int, f"{path}.p")
+        q = _typed(entry.get("q"), int, f"{path}.q")
+        # Matching the chain expands p^2/(pq - 1) whenever that is defined.
+        if 0 < p * q - 1 < p * p:
+            length = wahl_chain_length(p, q)
+            if length > MAX_CHAIN_LENGTH:
+                raise ValueError(
+                    f"{path}: the chain of p={p}, q={q} has {length} curves, "
+                    f"more than {MAX_CHAIN_LENGTH}"
+                )
         chains.append(ChainEmbedding(
-            p=_typed(entry.get("p"), int, f"{path}.p"),
-            q=_typed(entry.get("q"), int, f"{path}.q"),
-            curves=_strings(entry.get("curves"), f"{path}.curves"),
+            p=p, q=q, curves=_strings(entry.get("curves"), f"{path}.curves"),
         ))
     return tuple(chains)
 
@@ -253,7 +260,8 @@ def parse_construction(
 def read_dataset(name_or_path: Union[str, Path]) -> tuple[object, str, str]:
     """The decoded JSON, path and sha256 digest of a built-in dataset by
     name, or of any JSON file by path; the file is read once.  A path that
-    cannot be read (a directory, say) raises ``ValueError`` naming it."""
+    cannot be read (a directory, say) or decoded as UTF-8 JSON raises
+    ``ValueError`` naming it."""
     candidate = Path(name_or_path)
     if candidate.suffix == ".json" and candidate.exists():
         path = candidate
@@ -267,9 +275,11 @@ def read_dataset(name_or_path: Union[str, Path]) -> tuple[object, str, str]:
             )
     try:
         raw = path.read_bytes()
+        data = json.loads(raw.decode("utf-8"))
     except OSError as exc:  # a directory, or a file that cannot be read
         raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
-    data = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     return data, str(path), hashlib.sha256(raw).hexdigest()
 
 
@@ -386,45 +396,25 @@ STAGE_ERRORS = (ContractionError, ValueError, KeyError, AssertionError)
 class Replay:
     """One replay of a construction, shared by everything that reads it.
 
-    The blow-up script runs once, grading the recorded checkpoints on the
-    way, unless a finished ``model`` is passed in.  Each later stage is
-    computed on first use and kept for the life of the object, which is a
-    single command.  A stage that raises is not kept: it raises the same
-    exception again at the next use, so every check that depends on it
-    fails with the same message.
+    The blow-up script runs once, unless a finished ``model`` is passed in.
+    Each later stage, the recorded checkpoints too, is computed on first
+    use from the finished model and kept for the life of the object, which
+    is a single command.  A stage that raises is not kept: it raises the
+    same exception again at the next use, so every check that depends on
+    it fails with the same message.
     """
 
     def __init__(
         self, construction: Construction, model: Union[SurfaceModel, None] = None
     ) -> None:
         self.construction = construction
-        self._checkpoints = None
-        if model is None:
-            model = self._replay_script()
-        self.model = model
+        self.model = build_model(construction) if model is None else model
 
-    def _replay_script(self) -> SurfaceModel:
-        script = self.construction.script
-        by_step = script.checkpoints()
-        graded: Union[list, Exception] = []
-        for step, model in iter_models(script):
-            if isinstance(graded, list):
-                try:
-                    graded.extend(exp.grade(model) for exp in by_step.get(step, ()))
-                except STAGE_ERRORS as exc:
-                    graded = exc
-        self._checkpoints = graded
-        return model
-
-    @property
+    @cached_property
     def checkpoints(self):
         """``(expectation, computed, ok)`` for every recorded checkpoint,
-        graded on the replay's single pass; raises what grading raised."""
-        if self._checkpoints is None:  # a finished model was passed in
-            self._checkpoints = check_expectations(self.construction.script)
-        if isinstance(self._checkpoints, Exception):
-            raise self._checkpoints
-        return self._checkpoints
+        graded on the finished model in ``after_step`` order."""
+        return list(grade_checkpoints(self.construction.script, self.model))
 
     @cached_property
     def artin(self):

@@ -21,7 +21,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterator, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -38,6 +38,7 @@ __all__ = [
     "intersect",
     "parse_script",
     "iter_models",
+    "grade_checkpoints",
     "run_script",
     "check_expectations",
 ]
@@ -135,6 +136,10 @@ class BlowupStep:
     center: tuple[tuple[str, int], ...]
 
 
+def _no_curve(name: str) -> KeyError:
+    return KeyError(f"no curve named {name!r} on this surface")
+
+
 @dataclass(frozen=True)
 class SurfaceModel:
     """The plane after ``blowup_count`` blow-ups, with named curve classes.
@@ -156,7 +161,7 @@ class SurfaceModel:
         try:
             return self.curves[name]
         except KeyError:
-            raise KeyError(f"no curve named {name!r} on this surface") from None
+            raise _no_curve(name) from None
 
     def resolve(self, item: Union[str, DivisorClass]) -> DivisorClass:
         if isinstance(item, DivisorClass):
@@ -325,11 +330,21 @@ class Expectation:
         return Fraction(self.intersection)  # type: ignore[arg-type]
 
     def grade(self, model: SurfaceModel) -> tuple["Expectation", Rational, bool]:
-        """This checkpoint, its value on ``model`` and whether they agree."""
-        if self.curve is not None:
-            actual = model.self_intersection(self.curve)
-        else:
-            actual = model.intersect(*self.curves)  # type: ignore[misc]
+        """This checkpoint, its value after step ``after_step`` and whether
+        they agree, on ``model`` taken at that step or at any later one.
+
+        A blow-up only appends a coordinate: the pairing after the step is
+        the Gram entry plus the products of the later coordinates, and a
+        curve whose earlier coordinates all vanish did not exist yet."""
+        names = self.curves or (self.curve, self.curve)
+        k = self.after_step + 1
+        tails = []
+        for name in names:
+            coords = model.curve(name).coords
+            if not any(coords[:k]):
+                raise _no_curve(name)
+            tails.append(coords[k:])
+        actual = model.intersect(*names) + sum(map(mul, *tails))
         return self, actual, actual == self.expected_value()
 
 
@@ -344,13 +359,6 @@ class Script:
     @property
     def step_count(self) -> int:
         return len(self.steps)
-
-    def checkpoints(self) -> dict[int, list[Expectation]]:
-        """The recorded expectations grouped by the step they follow."""
-        by_step: dict[int, list[Expectation]] = {}
-        for exp in self.expectations:
-            by_step.setdefault(exp.after_step, []).append(exp)
-        return by_step
 
 
 _KINDS = {Mapping: "an object", list: "an array", int: "an integer", str: "a string",
@@ -493,17 +501,27 @@ def iter_models(script: Script) -> Iterator[tuple[int, SurfaceModel]]:
         yield i, model
 
 
+def grade_checkpoints(
+    script: Script, model: SurfaceModel
+) -> Iterator[tuple[Expectation, Rational, bool]]:
+    """Grade each checkpoint of ``script`` on ``model``, its finished
+    surface, lazily and in ``after_step`` order (stable)."""
+    for exp in sorted(script.expectations, key=attrgetter("after_step")):
+        yield exp.grade(model)
+
+
 def run_script(script: Script, *, check: bool = True) -> SurfaceModel:
     """Execute every blow-up; optionally verify each recorded checkpoint.
 
-    With ``check`` set, the first failing expectation raises
+    With ``check`` set, the checkpoints are graded on the finished surface
+    and the first failing one in ``after_step`` order raises
     :class:`ExpectationError` naming the step, the curves, both values, and
     the recorded citation.
     """
-    by_step = script.checkpoints() if check else {}
-    for i, model in iter_models(script):
-        for exp in by_step.get(i, ()):
-            _, actual, ok = exp.grade(model)
+    for _, model in iter_models(script):
+        pass
+    if check:
+        for exp, actual, ok in grade_checkpoints(script, model):
             if not ok:
                 raise ExpectationError(exp, actual)
     return model
@@ -513,9 +531,4 @@ def check_expectations(
     script: Script,
 ) -> list[tuple[Expectation, Rational, bool]]:
     """Evaluate every checkpoint, collecting results instead of raising."""
-    by_step = script.checkpoints()
-    return [
-        exp.grade(model)
-        for i, model in iter_models(script)
-        for exp in by_step.get(i, ())
-    ]
+    return list(grade_checkpoints(script, run_script(script, check=False)))

@@ -27,7 +27,12 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator, Sequence
 
+MAX_CHAIN_LENGTH = 1000
+"""Longest chain of ``p^2/(pq - 1)`` that is expanded, by ``cpq`` or for a
+dataset's chain; the chain's length grows like ``p/q``."""
+
 __all__ = [
+    "MAX_CHAIN_LENGTH",
     "hj_expand",
     "hj_value",
     "fraction_terms",
@@ -349,12 +354,17 @@ def wahl_params(bs: Sequence[int]) -> tuple[int, int]:
 def wahl_chain_length(p: int, q: int) -> int:
     """Length of the chain of ``p^2 / (pq - 1)``, in ``O(log p)`` steps.
 
-    It is the sum of the partial quotients of ``p/q``, minus one; the
-    chain itself has that many entries, so this bounds the work before
-    :func:`hj_expand` is asked for it.  Requires ``0 < q < p`` coprime.
+    With ``p^2/(pq - 1) = [a_1; a_2, ..., a_m]`` as a regular continued
+    fraction, the chain has one entry for each odd-placed term and
+    ``a_i - 1`` twos for each even-placed one.  This bounds the work
+    before :func:`hj_expand` is asked for the chain, so it needs only
+    ``0 < pq - 1 < p^2`` (as for ``1 <= q <= p`` with ``p > 1``), under
+    which ``p^2`` and ``pq - 1`` are always coprime.
     """
-    total = 0
-    while q:
-        total += p // q
-        p, q = q, p % q
-    return total - 1
+    n, k = p * p, p * q - 1
+    length, odd = 0, True
+    while k:
+        a, n, k = n // k, k, n % k
+        length += 1 if odd else a - 1
+        odd = not odd
+    return length

@@ -13,7 +13,7 @@ import pytest
 
 from blowdown import cli
 from blowdown.cli import MAX_CHAIN_LENGTH, MAX_GEN_LENGTH
-from blowdown.tchains import ClassTResult
+from blowdown.tchains import ClassTResult, hj_expand
 
 
 def run_cli(*args):
@@ -546,3 +546,52 @@ def test_list_marks_an_unreadable_dataset(monkeypatch, capsys, tmp_path):
     (tmp_path / "broken.json").write_text("{not json")
     monkeypatch.setenv("BLOWDOWN_DATA_DIR", str(tmp_path))
     assert run_in_process(capsys, "list") == (0, "broken: (unreadable)\n", "")
+
+
+@pytest.mark.parametrize("content,reason", [
+    (b"{not json", "Expecting property name enclosed in double quotes"),
+    (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+], ids=["json_syntax", "utf8"])
+def test_undecodable_dataset_exits_2_naming_its_path(monkeypatch, capsys,
+                                                     tmp_path, content, reason):
+    path = tmp_path / "broken.json"
+    path.write_bytes(content)
+    monkeypatch.setenv("BLOWDOWN_DATA_DIR", str(tmp_path))
+    for argv in (["verify", "broken"], ["contract", "--dataset", str(path)],
+                 ["invariants", "broken", "--json"], ["pi1", str(path)]):
+        code, out, err = run_in_process(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: {reason}"), err
+    assert run_in_process(capsys, "list") == (0, "broken: (unreadable)\n", "")
+
+
+@pytest.mark.parametrize("p,q,length", [
+    (2_000_000, 1, 1_999_999), (2_000, 2_000, 3_999_999),
+    (-2_000_000, -1, 1_999_999), (MAX_CHAIN_LENGTH + 2, 1, MAX_CHAIN_LENGTH + 1),
+])
+@pytest.mark.parametrize("command", ["verify", "contract", "invariants"])
+def test_dataset_chain_too_long_to_expand_exits_2(capsys, tmp_path, main_raw,
+                                                  count_calls, command, p, q,
+                                                  length):
+    main_raw["chains"][0].update(p=p, q=q)
+    path = tmp_path / "long_chain.json"
+    path.write_text(json.dumps(main_raw))
+    expansions = count_calls(hj_expand)
+    code, out, err = run_in_process(capsys, command, "--dataset", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: chains[0]: the chain of p={p}, q={q} has {length} "
+                   f"curves, more than {MAX_CHAIN_LENGTH}\n")
+    assert expansions == []
+
+
+@pytest.mark.parametrize("p,q", [(MAX_CHAIN_LENGTH + 1, 1), (1, 1), (5, 6), (0, 3)])
+def test_dataset_chain_within_the_bound_is_matched(capsys, tmp_path, main_raw,
+                                                   p, q):
+    """A chain the bound lets through, or whose expansion is undefined,
+    still reaches the replay and fails there as a mismatched shape."""
+    main_raw["chains"][0].update(p=p, q=q)
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(main_raw))
+    code, out, err = run_in_process(capsys, "verify", "--dataset", str(path))
+    assert (code, err) == (1, "")
+    assert "[FAIL] chain_shapes" in out

@@ -165,3 +165,43 @@ def test_run_script_checks_expectations(main_construction):
         run_script(doctored)
     model = run_script(doctored, check=False)
     assert model.blowup_count == 30
+
+
+def test_run_script_raises_the_earliest_failing_checkpoint(main_construction):
+    script = main_construction.script
+    late = dataclasses.replace(script.expectations[43], self_int=0)  # step 30
+    early = dataclasses.replace(script.expectations[0], self_int=0)  # step 9
+    with pytest.raises(ExpectationError) as info:
+        run_script(dataclasses.replace(script, expectations=(late, early)))
+    assert info.value.expectation is early
+
+
+def _outcome(pairing):
+    """The value of a pairing, or the text of the ``KeyError`` it raises."""
+    try:
+        return "value", pairing()
+    except KeyError as exc:
+        return "KeyError", str(exc)
+
+
+@pytest.mark.parametrize(
+    "fixture", ["main_construction", "pencil2_construction", "k4_construction"]
+)
+def test_grading_on_the_finished_model_matches_every_snapshot(fixture, request):
+    """Each checkpoint, moved to any step up to its own, grades on the
+    finished model as the pairing on that step's snapshot does, and on the
+    snapshot itself too; a curve not yet created raises the same error."""
+    script = request.getfixturevalue(fixture).script
+    snapshots = [model for _, model in iter_models(script)]
+    finished = snapshots[-1]
+    kinds = set()
+    for exp in script.expectations:
+        names = exp.curves or (exp.curve, exp.curve)
+        for step in range(exp.after_step + 1):
+            moved = dataclasses.replace(exp, after_step=step)
+            reference = _outcome(lambda: intersect(snapshots[step], *names))
+            assert _outcome(lambda: moved.grade(finished)[1]) == reference, (
+                exp.describe(), step)
+            assert _outcome(lambda: moved.grade(snapshots[step])[1]) == reference
+            kinds.add(reference[0])
+    assert kinds == {"value", "KeyError"}

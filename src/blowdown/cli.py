@@ -26,7 +26,7 @@ from math import gcd
 from typing import Iterable, Sequence, Union
 
 from . import __version__
-from .contraction import chain_discrepancies, nef_values
+from .contraction import nef_values
 from .constructions import (
     STAGE_ERRORS,
     Replay,
@@ -35,16 +35,16 @@ from .constructions import (
     parse_construction,
     read_dataset,
 )
-from .tchains import (
+from .tchains import (  # noqa: F401  (re-exports MAX_CHAIN_LENGTH)
     MAX_CHAIN_LENGTH,
+    chain_discrepancies,
     classify_chain,
     fraction_terms,
-    hj_expand,
     iter_class_t,
-    wahl_chain_length,
+    meridian_powers,
+    wahl_chain,
 )
 from .topology import (
-    meridian_powers,
     parse_graph,
     pi1_closure,
     rationality_exclusion,
@@ -99,11 +99,10 @@ def _cmd_cpq(args) -> int:
     if not 0 < q < p or gcd(p, q) != 1:
         raise _Exit("error: need coprime integers 0 < q < p, "
                     f"got p={p}, q={q}", 2)
-    length = wahl_chain_length(p, q)
-    if length > MAX_CHAIN_LENGTH:
-        raise _Exit(f"error: the chain of p={p}, q={q} has {length} curves, "
-                    f"more than {MAX_CHAIN_LENGTH}", 2)
-    chain = hj_expand(p * p, p * q - 1)
+    try:
+        chain = wahl_chain(p, q)
+    except ValueError as exc:
+        raise _Exit(f"error: {exc}", 2)
     ds = [str(d) for d in chain_discrepancies(chain)]
     powers = meridian_powers(chain)
     result = {
@@ -287,13 +286,11 @@ def _cmd_contract(args, replay: Replay) -> int:
     )
     k2 = replay.k_squared
     k2_res = model.canonical_self_intersection()
-    expansion: Union[list, None]
-    try:
+    expansion: Union[list, None] = None
+    if construction.records_fiber_decomposition:
         expansion = sorted(
             (name, value) for name, value in replay.coefficients.items() if value
         )
-    except ValueError:
-        expansion = None
     result = {
         "construction": construction.name,
         "chains": [

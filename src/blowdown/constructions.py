@@ -26,10 +26,8 @@ from typing import Union
 from .contraction import (
     ChainEmbedding,
     ContractionError,
-    chain_discrepancies,
     check_artin,
     expand_in_curves,
-    k_squared_gain,
     nef_values,
     pullback_canonical,
 )
@@ -42,7 +40,7 @@ from .lattice import (
     parse_script,
     run_script,
 )
-from .tchains import MAX_CHAIN_LENGTH, wahl_chain_length, wahl_params
+from .tchains import chain_discrepancies, k_squared_gain, wahl_chain
 from .topology import (
     ConnectionGraph,
     blowdown_invariants,
@@ -111,6 +109,18 @@ class Construction:
     corrections: Mapping
     source_path: str = ""
     sha256: str = ""
+
+    @property
+    def records_fiber_decomposition(self) -> bool:
+        """Whether the dataset records what expanding the pullback over
+        curve classes needs: a base surface step, fiber supports, and the
+        ``pullback_fiber_weights`` and ``canonical_relation`` tables."""
+        return (
+            self.base_surface_step is not None
+            and bool(self.fiber_expansions)
+            and "pullback_fiber_weights" in self.recorded
+            and "canonical_relation" in self.recorded
+        )
 
 
 def _split_expected(raw: Mapping) -> tuple[dict, dict]:
@@ -192,14 +202,13 @@ def _parse_chains(raw) -> tuple[ChainEmbedding, ...]:
         _typed(entry, Mapping, path)
         p = _typed(entry.get("p"), int, f"{path}.p")
         q = _typed(entry.get("q"), int, f"{path}.q")
-        # Matching the chain expands p^2/(pq - 1) whenever that is defined.
+        # A chain too long to expand is an input error; an undefined
+        # fraction is left for the replay, where the shape fails to match.
         if 0 < p * q - 1 < p * p:
-            length = wahl_chain_length(p, q)
-            if length > MAX_CHAIN_LENGTH:
-                raise ValueError(
-                    f"{path}: the chain of p={p}, q={q} has {length} curves, "
-                    f"more than {MAX_CHAIN_LENGTH}"
-                )
+            try:
+                wahl_chain(p, q)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
         chains.append(ChainEmbedding(
             p=p, q=q, curves=_strings(entry.get("curves"), f"{path}.curves"),
         ))
@@ -352,6 +361,12 @@ class _Grade:
         self.status = "fail"
         self.details.extend(lines)
 
+    def unmatched(self, label: str, keys, known, what: str) -> None:
+        """Fail each recorded key that is not among the ``known`` ones."""
+        for key in keys:
+            if key not in known:
+                self.fail(f"{label}[{key}] matches no {what}")
+
     def table(
         self,
         label: str,
@@ -360,9 +375,12 @@ class _Grade:
         corrections: Mapping[str, Fraction],
     ) -> None:
         """Grade computed values against recorded ones, correction-aware,
-        under a line counting the exact matches."""
+        under a line counting the exact matches; a correction must be of a
+        recorded value."""
         matched = sum(computed.get(key) == value for key, value in printed.items())
         self.note(f"{matched} of {len(printed)} recorded values reproduced exactly")
+        self.unmatched(f"{label} correction", corrections, printed,
+                       "recorded value")
         for key, recorded in printed.items():
             if key not in computed:
                 self.fail(
@@ -468,18 +486,12 @@ class Replay:
     def coefficients(self):
         """See :func:`pullback_expansion`."""
         construction = self.construction
-        recorded = construction.recorded
-        if (
-            construction.base_surface_step is None
-            or not construction.fiber_expansions
-            or "pullback_fiber_weights" not in recorded
-            or "canonical_relation" not in recorded
-        ):
+        if not construction.records_fiber_decomposition:
             raise ValueError(
                 "dataset does not record the fiber decomposition needed to "
                 "expand the pullback over curve classes"
             )
-        weights = recorded["pullback_fiber_weights"]
+        weights = construction.recorded["pullback_fiber_weights"]
         coefficients: dict[str, Fraction] = {}
 
         def accumulate(name: str, value: Fraction) -> None:
@@ -585,9 +597,6 @@ def _script_check(replay: Replay, grade: _Grade):
 
 def _shapes_check(replay: Replay, grade: _Grade):
     for emb, bs in zip(replay.construction.chains, replay.shapes):
-        # The shape is the expansion of p^2/(pq - 1); recovering (p, q)
-        # from it fails unless 0 < q < p are coprime.
-        wahl_params(bs)
         fraction = Fraction(emb.p * emb.p, emb.p * emb.q - 1)
         grade.note(
             f"{emb.label}: shape {list(bs)} matches {fraction.numerator}/"
@@ -636,6 +645,8 @@ def _discrepancy_check(replay: Replay, grade: _Grade):
                        f"({', '.join(str(d) for d in recorded)}) differ")
         else:
             grade.note(f"{line}; matches the recorded values")
+    grade.unmatched("discrepancies", recorded_tables,
+                    {emb.label for emb in construction.chains}, "chain")
 
 
 def _adjunction_check(replay: Replay, grade: _Grade):
@@ -688,7 +699,12 @@ def _canonical_relation_check(replay: Replay, grade: _Grade):
 def _fiber_relation_check(replay: Replay, grade: _Grade):
     construction = replay.construction
     corrections = construction.corrections.get("fiber_relation", {})
-    for name, _ in construction.fiber_expansions:
+    names = dict(construction.fiber_expansions)
+    grade.unmatched("fiber_relation", construction.recorded["fiber_relation"],
+                    names, "fiber expansion")
+    grade.unmatched("fiber_relation correction", corrections, names,
+                    "fiber expansion")
+    for name in names:
         grade.table(
             f"fiber {name}", construction.recorded["fiber_relation"][name],
             replay.fibers[name], corrections.get(name, {}),
@@ -698,6 +714,9 @@ def _fiber_relation_check(replay: Replay, grade: _Grade):
 def _pullback_expansion_check(replay: Replay, grade: _Grade):
     construction, model = replay.construction, replay.model
     coefficients = replay.coefficients
+    grade.unmatched("pullback_fiber_weights",
+                    construction.recorded["pullback_fiber_weights"],
+                    replay.fibers, "fiber expansion")
     assembled = model.canonical * 0
     for curve, coeff in coefficients.items():
         assembled = assembled + coeff * model.curve(curve)

@@ -2,10 +2,11 @@
 
 Given a surface model carrying disjoint chains of rational curves, the
 contraction to a singular surface is tracked through exact lattice data:
-discrepancies come from a fraction-free tridiagonal solve, the pullback of
-the contracted canonical class is assembled from them over one common
-denominator, and negative definiteness of each chain is certified by the
-signs of its leading principal minors, which for a chain are signed
+each chain read off the model is matched against ``wahl_chain(p, q)``, the
+pullback of the contracted canonical class is assembled from the chains'
+discrepancies (bare chain arithmetic lives in :mod:`blowdown.tchains`) over
+one common denominator, and negative definiteness of each chain is
+certified by the signs of its leading principal minors, signed
 continuants.  Expansions over curve classes use fraction-free (Bareiss)
 elimination.  Every value is an ``int`` or a
 :class:`fractions.Fraction`, never a ``float``.
@@ -15,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence, Union
 
 from .lattice import DivisorClass, Rational, SurfaceModel
-from .tchains import continuants, hj_expand
+from .tchains import chain_discrepancies, continuants, wahl_chain
 
 __all__ = [
     "ContractionError",
@@ -29,8 +30,6 @@ __all__ = [
     "chain_shape",
     "validate_embedding",
     "check_artin",
-    "chain_discrepancies",
-    "k_squared_gain",
     "pullback_canonical",
     "contracted_k_squared",
     "nef_values",
@@ -60,14 +59,17 @@ class ChainEmbedding:
         return f"C({self.p},{self.q})"
 
     def match(self, bs: tuple[int, ...]) -> tuple[int, ...]:
-        """``bs``, checked to be the expansion of ``p^2/(pq - 1)``, whose
-        chain determinant is ``p^2`` (the boundary lens space)."""
-        expected_bs = hj_expand(self.p * self.p, self.p * self.q - 1)
+        """``bs``, checked to be the expansion of ``p^2/(pq - 1)`` (chain
+        determinant ``p^2``) for coprime ``0 < q < p``, a rational ball's."""
+        expected_bs = wahl_chain(self.p, self.q)
         if bs != expected_bs:
             raise ContractionError(
                 f"{self.label}: shape {bs} does not match the expansion "
                 f"{expected_bs} of {self.p}^2/({self.p}*{self.q} - 1)"
             )
+        if not 0 < self.q < self.p or gcd(self.p, self.q) != 1:
+            raise ContractionError(f"{self.label}: a rational ball needs "
+                                   "coprime 0 < q < p")
         return bs
 
 
@@ -188,41 +190,6 @@ def check_artin(
                         )
     return ArtinCertificate(
         chains=tuple(certificates), cross_violations=tuple(violations)
-    )
-
-
-def chain_discrepancies(bs: Sequence[int]) -> tuple[Fraction, ...]:
-    """Discrepancies ``d_1, ..., d_k`` of the chain's contraction.
-
-    These solve the tridiagonal system ``sum_i (G_i . G_j) d_i = 2 - b_j``,
-    which says the class ``K + sum d_i G_i`` is orthogonal to every curve
-    of the chain.  The solve is fraction-free: with continuants ``q_j`` and
-    forcing terms ``s_j = b_j s_{j-1} - s_{j-2} + (2 - b_j)``, the first
-    discrepancy is ``-s_k/q_k`` and ``d_{j+1} = q_j d_1 + s_j``.  All
-    discrepancies of a chain with entries at least 2 (not all 2) lie in
-    the open interval (0, 1).
-    """
-    qs = continuants(bs)
-    prev, cur = 0, 0
-    ss = []
-    for b in bs:
-        prev, cur = cur, b * cur - prev + (2 - b)
-        ss.append(cur)
-    det, top = qs[-1], -ss[-1]
-    return (Fraction(top, det),) + tuple(
-        Fraction(q * top + s * det, det) for q, s in zip(qs, ss[:-1])
-    )
-
-
-def k_squared_gain(bs: Sequence[int]) -> Fraction:
-    """How much contracting the chain raises the canonical self-intersection.
-
-    Equals ``sum_i d_i (b_i - 2)``; for a Wahl chain this is the chain
-    length, an integer.
-    """
-    ds = chain_discrepancies(bs)
-    return sum(
-        (d * (b - 2) for d, b in zip(ds, bs)), Fraction(0)
     )
 
 

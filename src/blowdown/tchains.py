@@ -19,6 +19,9 @@ implemented here so each can check the other.  The generator
 ``(L, 2, 1)``, the left move sends ``(d, n, a)`` to ``(d, 2n - a, n)`` and
 the right move sends it to ``(d, n + a, a)``.  The search in
 :func:`general_params` derives the same triple from the fraction alone.
+:func:`wahl_chain` is the one reading of a pair ``C(p, q)`` into its chain,
+and the arithmetic of a bare chain (discrepancies, ``K^2`` gain, meridian
+powers) is here too.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from math import gcd, isqrt
 from typing import Iterator, Sequence
 
 MAX_CHAIN_LENGTH = 1000
-"""Longest chain of ``p^2/(pq - 1)`` that is expanded, by ``cpq`` or for a
-dataset's chain; the chain's length grows like ``p/q``."""
+"""Longest chain of ``p^2/(pq - 1)`` that :func:`wahl_chain` expands; the
+chain's length grows like ``p/q``."""
 
 __all__ = [
     "MAX_CHAIN_LENGTH",
@@ -49,6 +52,10 @@ __all__ = [
     "general_params",
     "wahl_params",
     "wahl_chain_length",
+    "wahl_chain",
+    "chain_discrepancies",
+    "k_squared_gain",
+    "meridian_powers",
 ]
 
 
@@ -357,7 +364,7 @@ def wahl_chain_length(p: int, q: int) -> int:
     With ``p^2/(pq - 1) = [a_1; a_2, ..., a_m]`` as a regular continued
     fraction, the chain has one entry for each odd-placed term and
     ``a_i - 1`` twos for each even-placed one.  This bounds the work
-    before :func:`hj_expand` is asked for the chain, so it needs only
+    before :func:`wahl_chain` expands the chain, so it needs only
     ``0 < pq - 1 < p^2`` (as for ``1 <= q <= p`` with ``p > 1``), under
     which ``p^2`` and ``pq - 1`` are always coprime.
     """
@@ -368,3 +375,73 @@ def wahl_chain_length(p: int, q: int) -> int:
         length += 1 if odd else a - 1
         odd = not odd
     return length
+
+
+def wahl_chain(p: int, q: int) -> tuple[int, ...]:
+    """The chain of ``C(p, q)``, ``p^2 / (pq - 1)`` expanded: every reading
+    of a pair into its chain goes through here.
+
+    Raises ``ValueError`` naming ``C(p,q)`` when ``p^2/(pq - 1)`` is not a
+    fraction above 1, or naming ``p`` and ``q`` when the chain, measured
+    first, has more than :data:`MAX_CHAIN_LENGTH` curves.  The pair itself
+    is not checked: ``(-p, -q)`` reads as ``(p, q)``.
+    """
+    n, k = p * p, p * q - 1
+    if not 0 < k < n:
+        raise ValueError(f"C({p},{q}): p^2/(pq - 1) = {n}/{k} is not a "
+                         "fraction above 1")
+    length = wahl_chain_length(p, q)
+    if length > MAX_CHAIN_LENGTH:
+        raise ValueError(f"the chain of p={p}, q={q} has {length} curves, "
+                         f"more than {MAX_CHAIN_LENGTH}")
+    return hj_expand(n, k)
+
+
+def chain_discrepancies(bs: Sequence[int]) -> tuple[Fraction, ...]:
+    """Discrepancies ``d_1, ..., d_k`` of the chain's contraction.
+
+    These solve the tridiagonal system ``sum_i (G_i . G_j) d_i = 2 - b_j``,
+    which says the class ``K + sum d_i G_i`` is orthogonal to every curve
+    of the chain.  The solve is fraction-free: with continuants ``q_j`` and
+    forcing terms ``s_j = b_j s_{j-1} - s_{j-2} + (2 - b_j)``, the first
+    discrepancy is ``-s_k/q_k`` and ``d_{j+1} = q_j d_1 + s_j``.  All
+    discrepancies of a chain with entries at least 2 (not all 2) lie in
+    the open interval (0, 1).
+    """
+    qs = continuants(bs)
+    prev, cur = 0, 0
+    ss = []
+    for b in bs:
+        prev, cur = cur, b * cur - prev + (2 - b)
+        ss.append(cur)
+    det, top = qs[-1], -ss[-1]
+    return (Fraction(top, det),) + tuple(
+        Fraction(q * top + s * det, det) for q, s in zip(qs, ss[:-1])
+    )
+
+
+def k_squared_gain(bs: Sequence[int]) -> Fraction:
+    """How much contracting the chain raises the canonical self-intersection.
+
+    Equals ``sum_i d_i (b_i - 2)``; for a Wahl chain this is the chain
+    length, an integer.
+    """
+    ds = chain_discrepancies(bs)
+    return sum(
+        (d * (b - 2) for d, b in zip(ds, bs)), Fraction(0)
+    )
+
+
+def meridian_powers(bs: Sequence[int]) -> tuple[int, ...]:
+    """Meridian exponents of the chain curves in the boundary lens space.
+
+    With the generator taken at the last curve of the chain, the meridian
+    of the i-th curve is the generator raised to the continuant of the
+    trailing subchain ``(b_{i+1}, ..., b_k)``; the last curve itself gets
+    exponent 1.  The leading curve's exponent is coprime to the total
+    determinant, so either end generates and may serve as the unit.
+    """
+    # The continuants of the reversed chain are those of every trailing
+    # subchain, longest last: one pass gives them all.
+    trailing = continuants(tuple(bs)[::-1])
+    return (*reversed(trailing[:-1]), 1)

@@ -25,14 +25,12 @@ from typing import Sequence, Union
 
 from .contraction import ChainEmbedding, pullback_canonical
 from .lattice import Rational, SurfaceModel, _typed
-from .tchains import continuants
 
 __all__ = [
     "GraphNode",
     "GraphEdge",
     "ConnectionGraph",
     "parse_graph",
-    "meridian_powers",
     "ClosureStep",
     "Pi1Result",
     "pi1_closure",
@@ -154,21 +152,6 @@ def parse_graph(data: Mapping) -> ConnectionGraph:
         reconstructed=_typed(data.get("reconstructed", False), bool,
                              "graph.reconstructed"),
     )
-
-
-def meridian_powers(bs: Sequence[int]) -> tuple[int, ...]:
-    """Meridian exponents of the chain curves in the boundary lens space.
-
-    With the generator taken at the last curve of the chain, the meridian
-    of the i-th curve is the generator raised to the continuant of the
-    trailing subchain ``(b_{i+1}, ..., b_k)``; the last curve itself gets
-    exponent 1.  The leading curve's exponent is coprime to the total
-    determinant, so either end generates and may serve as the unit.
-    """
-    # The continuants of the reversed chain are those of every trailing
-    # subchain, longest last: one pass gives them all.
-    trailing = continuants(tuple(bs)[::-1])
-    return (*reversed(trailing[:-1]), 1)
 
 
 @dataclass(frozen=True)

@@ -595,3 +595,21 @@ def test_dataset_chain_within_the_bound_is_matched(capsys, tmp_path, main_raw,
     code, out, err = run_in_process(capsys, "verify", "--dataset", str(path))
     assert (code, err) == (1, "")
     assert "[FAIL] chain_shapes" in out
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_contract_fails_on_a_recorded_fiber_decomposition_that_fails(
+        capsys, write_mutant, main_construction, flags):
+    support = dict(main_construction.fiber_expansions)["F1"][:-1]
+    path = write_mutant(main_construction, ("fiber_expansions", "F1"), support)
+    code, out, err = run_in_process(capsys, "contract", "--dataset", path, *flags)
+    assert (code, out) == (1, "")
+    assert err.startswith("contraction fails: class does not lie in the span of")
+
+
+@pytest.mark.parametrize("dataset", ["pencil2_k3", "k4"])
+def test_contract_without_a_fiber_decomposition_prints_no_expansion(capsys,
+                                                                    dataset):
+    code, out, err = run_in_process(capsys, "contract", dataset, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["expansion"] is None

@@ -262,3 +262,20 @@ def test_perturbed_step_multiplicity_fails(main_raw):
     report = verify(parse_construction(main_raw))
     assert not report.ok
     assert check_map(report)["script_expectations"].status == "fail"
+
+
+@pytest.mark.parametrize("section,table,key,value,check", [
+    ("expected", "discrepancies", "C(99,1)", ["1/2"], "discrepancies"),
+    ("expected", "fiber_relation", "F9", {"F1": 1}, "fiber_relation"),
+    ("errata", "fiber_relation", "F9", {"F1": 1}, "fiber_relation"),
+    ("expected", "pullback_fiber_weights", "F9", "-1/2", "pullback_expansion"),
+    ("errata", "pullback_coefficients", "ZZ", "1", "pullback_expansion"),
+])
+def test_a_recorded_key_that_matches_nothing_fails_its_check(
+        main_raw, section, table, key, value, check):
+    entry = main_raw[section][table]
+    (entry["values"] if "values" in entry else entry)[key] = value
+    report = verify(parse_construction(main_raw))
+    assert [c.name for c in report.checks if c.status == "fail"] == [check]
+    assert f"[{key}] matches no " in joined(check_map(report)[check])
+    assert CITATION in joined(check_map(report)[check])

@@ -32,8 +32,7 @@ from .constructions import (
     Replay,
     available_constructions,
     load_construction,
-    parse_construction,
-    read_dataset,
+    load_graph,
 )
 from .tchains import (  # noqa: F401  (re-exports MAX_CHAIN_LENGTH)
     MAX_CHAIN_LENGTH,
@@ -44,11 +43,7 @@ from .tchains import (  # noqa: F401  (re-exports MAX_CHAIN_LENGTH)
     meridian_powers,
     wahl_chain,
 )
-from .topology import (
-    parse_graph,
-    pi1_closure,
-    rationality_exclusion,
-)
+from .topology import pi1_closure, rationality_exclusion
 
 __all__ = ["main"]
 
@@ -371,18 +366,6 @@ def _cmd_invariants(args, replay: Replay) -> int:
     return _emit(args, "invariants", construction.sha256, result, text())
 
 
-def _load_graph(source: str):
-    """The connection graph and input digest of a graph file (a JSON object
-    with ``nodes``) or, failing that, of a construction."""
-    data, path, digest = read_dataset(source)
-    if isinstance(data, dict) and "nodes" in data:
-        return parse_graph(data), digest
-    construction = parse_construction(data, source_path=path, sha256=digest)
-    if construction.graph is None:
-        raise ValueError("no connection graph in this dataset")
-    return construction.graph, construction.sha256
-
-
 def _cmd_pi1(args, loaded) -> int:
     graph, digest = loaded
     result = pi1_closure(graph)
@@ -464,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _dataset_command(
         sub, "pi1", "run the fundamental group closure on a connection graph",
-        _cmd_pi1, "pi1 closure fails", load=_load_graph, metavar="graph",
+        _cmd_pi1, "pi1 closure fails", load=load_graph, metavar="graph",
         source_help="graph JSON file or construction name",
         dataset_help="path to a graph or construction JSON file",
     )

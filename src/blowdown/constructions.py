@@ -9,6 +9,10 @@ once and computes each later stage at most once; ``verify``, ``contract``
 and ``invariants`` all read it.  The verifier grades each check ``pass``,
 ``erratum`` (recorded value wrong, recorded correction confirmed) or
 ``fail``.  Failure messages always carry the dataset's citation string.
+
+This module is the one reader of datasets and graph files: the ``parse_*``
+functions type every field, and malformed input raises ``ValueError``
+naming the field's path.
 """
 
 from __future__ import annotations
@@ -32,19 +36,19 @@ from .contraction import (
     pullback_canonical,
 )
 from .lattice import (
+    BlowupStep,
+    Expectation,
     Script,
     SurfaceModel,
-    _number,
-    _typed,
     grade_checkpoints,
-    parse_script,
     run_script,
 )
 from .tchains import chain_discrepancies, k_squared_gain, wahl_chain
 from .topology import (
     ConnectionGraph,
+    GraphEdge,
+    GraphNode,
     blowdown_invariants,
-    parse_graph,
     pi1_closure,
     rationality_exclusion,
 )
@@ -58,9 +62,12 @@ __all__ = [
     "Replay",
     "data_dir",
     "available_constructions",
+    "parse_script",
+    "parse_graph",
     "parse_construction",
     "read_dataset",
     "load_construction",
+    "load_graph",
     "build_model",
     "pullback_expansion",
     "verify",
@@ -121,6 +128,199 @@ class Construction:
             and "pullback_fiber_weights" in self.recorded
             and "canonical_relation" in self.recorded
         )
+
+
+_KINDS = {Mapping: "an object", list: "an array", int: "an integer", str: "a string",
+          bool: "a boolean"}
+
+
+def _typed(value, kind: type, path: str):
+    """``value``, checked to be of a JSON kind; errors name its field path.
+    An integer is an ``int`` proper, so a boolean is not one."""
+    if type(value) is not kind and (kind is int or not isinstance(value, kind)):
+        raise ValueError(f"{path} must be {_KINDS[kind]}")
+    return value
+
+
+def _number(value, path: str) -> Fraction:
+    """A recorded number, given as an integer or a fraction string ``"p/q"``."""
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        try:
+            return Fraction(int(num), int(den) if slash else 1)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(
+        f"{path} must be an integer or a fraction string, got {value!r}"
+    )
+
+
+def _base_degree(name: str, value) -> int:
+    """Degree of a base curve given as an int or an ``[h, e1, ...]`` array.
+
+    Scripts start on the projective plane, so any exceptional coordinates
+    in the array form must be zero.
+    """
+    path = f"base_curves.{name}"
+    if not isinstance(value, list):
+        return _typed(value, int, path)
+    if not value:
+        raise ValueError(f"base curve {name!r} has an empty class array")
+    head, *tail = (_typed(v, int, f"{path}[{i}]") for i, v in enumerate(value))
+    if any(tail):
+        raise ValueError(
+            f"base curve {name!r} has nonzero exceptional coordinates; "
+            "scripts start on the plane, where only the degree may be set"
+        )
+    return head
+
+
+def _pair(value, path: str, first: type, second: type) -> tuple:
+    """A two-entry array of the given JSON kinds."""
+    if len(_typed(value, list, path)) != 2:
+        raise ValueError(f"{path} must have two entries")
+    return (_typed(value[0], first, f"{path}[0]"),
+            _typed(value[1], second, f"{path}[1]"))
+
+
+def _expectation(raw, path: str, step_count: int) -> Expectation:
+    """One recorded checkpoint, read from the entry at ``path``."""
+    _typed(raw, Mapping, path)
+    after_step = _typed(raw.get("after_step"), int, f"{path}.after_step")
+    if not 0 <= after_step <= step_count:
+        raise ValueError(
+            f"expectation refers to step {after_step}, "
+            f"but the script has {step_count} steps"
+        )
+    cite = _typed(raw.get("cite", ""), str, f"{path}.cite")
+    if "curve" in raw:
+        return Expectation(
+            after_step=after_step,
+            cite=cite,
+            curve=_typed(raw["curve"], str, f"{path}.curve"),
+            self_int=_number(raw.get("self_int"), f"{path}.self_int"),
+        )
+    return Expectation(
+        after_step=after_step,
+        cite=cite,
+        curves=_pair(raw.get("curves"), f"{path}.curves", str, str),
+        intersection=_number(raw.get("intersection"), f"{path}.intersection"),
+    )
+
+
+def parse_script(data: Mapping) -> Script:
+    """Build a :class:`Script` from its JSON object form.
+
+    Degrees, multiplicities and ``after_step`` must be JSON integers, and a
+    checkpoint value an integer or a fraction string ``"p/q"``; anything
+    else raises ``ValueError`` naming the field path.
+    """
+    for key in ("base_curves", "steps"):
+        if key not in data:
+            raise ValueError(f"script is missing the {key!r} key")
+    base = tuple(
+        (name, _base_degree(name, deg))
+        for name, deg in _typed(data["base_curves"], Mapping, "base_curves").items()
+    )
+    raw_steps = [
+        _typed(raw, Mapping, f"steps[{i}]")
+        for i, raw in enumerate(_typed(data["steps"], list, "steps"))
+    ]
+    used = {name for name, _ in base}
+    used.update(
+        _typed(raw["name"], str, f"steps[{i}].name")
+        for i, raw in enumerate(raw_steps) if "name" in raw
+    )
+    steps = []
+    for i, raw in enumerate(raw_steps):
+        path = f"steps[{i}].at"
+        at = tuple(
+            _pair(point, f"{path}[{j}]", str, int)
+            for j, point in enumerate(_typed(raw.get("at"), list, path))
+        )
+        if "name" in raw:
+            name = raw["name"]
+        else:
+            name = f"e{i + 1}"
+            while name in used:
+                name += "'"
+            used.add(name)
+        steps.append(BlowupStep(name=name, center=at))
+    expectations = tuple(
+        _expectation(raw, f"expectations[{i}]", len(steps))
+        for i, raw in enumerate(
+            _typed(data.get("expectations", []), list, "expectations")
+        )
+    )
+    return Script(
+        base_curves=base,
+        steps=tuple(steps),
+        expectations=expectations,
+    )
+
+
+def _count(value, path: str) -> int:
+    """A positive integer field of a graph; errors name its path."""
+    if _typed(value, int, path) < 1:
+        raise ValueError(f"{path} must be positive, got {value}")
+    return value
+
+
+def _fields(entry, path: str, *keys: str) -> tuple[str, ...]:
+    """Required string fields of a graph entry; errors name their path."""
+    _typed(entry, Mapping, path)
+    for key in keys:
+        if key not in entry:
+            raise ValueError(f"{path}.{key} is missing")
+    return tuple(_typed(entry[key], str, f"{path}.{key}") for key in keys)
+
+
+def parse_graph(data: Mapping) -> ConnectionGraph:
+    """Build a graph from its JSON object form.
+
+    ``nodes`` and ``edges`` must be arrays, each node needs a string
+    ``name`` and each edge its string ends ``a`` and ``b``; an order,
+    ``p``, ``q`` or meridian power must be a positive integer, and
+    ``reconstructed`` a boolean.  Anything else raises ``ValueError``
+    naming the field.
+    """
+    _typed(data, Mapping, "graph")
+    parsed = []
+    for i, n in enumerate(_typed(data.get("nodes"), list, "graph.nodes")):
+        path = f"graph.nodes[{i}]"
+        (name,) = _fields(n, path, "name")
+        if "order" in n:
+            order = _count(n["order"], f"{path}.order")
+            parsed.append(GraphNode(name=name, explicit_order=order))
+        else:
+            parsed.append(GraphNode(
+                name=name, p=_count(n.get("p"), f"{path}.p"),
+                q=_count(n.get("q"), f"{path}.q"),
+            ))
+    nodes = tuple(parsed)
+    names = {n.name for n in nodes}
+    if len(names) != len(nodes):
+        raise ValueError("graph has duplicate node names")
+    edges = []
+    for i, e in enumerate(_typed(data.get("edges"), list, "graph.edges")):
+        a, b = _fields(e, f"graph.edges[{i}]", "a", "b")
+        if a not in names or b not in names:
+            raise ValueError(f"edge {a!r} -- {b!r} mentions an unknown node")
+        edges.append(GraphEdge(
+            a=a, b=b,
+            power_a=_count(e.get("power_a"), f"graph.edges[{i}].power_a"),
+            power_b=_count(e.get("power_b"), f"graph.edges[{i}].power_b"),
+        ))
+    return ConnectionGraph(
+        nodes=nodes,
+        edges=tuple(edges),
+        reconstructed=_typed(data.get("reconstructed", False), bool,
+                             "graph.reconstructed"),
+    )
+
+
 
 
 def _split_expected(raw: Mapping) -> tuple[dict, dict]:
@@ -296,6 +496,18 @@ def load_construction(name_or_path: Union[str, Path]) -> Construction:
     """Load a built-in dataset by name, or any dataset by file path."""
     data, path, digest = read_dataset(name_or_path)
     return parse_construction(data, source_path=path, sha256=digest)
+
+
+def load_graph(source: Union[str, Path]) -> tuple[ConnectionGraph, str]:
+    """The connection graph and input digest of a graph file (a JSON object
+    with ``nodes``) or, failing that, of a construction."""
+    data, path, digest = read_dataset(source)
+    if isinstance(data, dict) and "nodes" in data:
+        return parse_graph(data), digest
+    construction = parse_construction(data, source_path=path, sha256=digest)
+    if construction.graph is None:
+        raise ValueError("no connection graph in this dataset")
+    return construction.graph, construction.sha256
 
 
 def build_model(construction: Construction) -> SurfaceModel:

@@ -13,6 +13,8 @@ a contracted canonical class, keeps integer coordinates over one common
 denominator, and its pairings come out as :class:`fractions.Fraction`.  Each
 model also carries the integer Gram matrix of its named curves, updated at
 every blow-up.  Arithmetic is ``int`` and ``Fraction``, never ``float``.
+This module reads no JSON: :func:`blowdown.constructions.parse_script`
+reads a :class:`Script` from a dataset.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ __all__ = [
     "new_plane",
     "blow_up",
     "intersect",
-    "parse_script",
     "iter_models",
     "grade_checkpoints",
     "run_script",
@@ -359,137 +360,6 @@ class Script:
     @property
     def step_count(self) -> int:
         return len(self.steps)
-
-
-_KINDS = {Mapping: "an object", list: "an array", int: "an integer", str: "a string",
-          bool: "a boolean"}
-
-
-def _typed(value, kind: type, path: str):
-    """``value``, checked to be of a JSON kind; errors name its field path.
-    An integer is an ``int`` proper, so a boolean is not one."""
-    if type(value) is not kind and (kind is int or not isinstance(value, kind)):
-        raise ValueError(f"{path} must be {_KINDS[kind]}")
-    return value
-
-
-def _number(value, path: str) -> Fraction:
-    """A recorded number, given as an integer or a fraction string ``"p/q"``."""
-    if type(value) is int:
-        return Fraction(value)
-    if isinstance(value, str):
-        num, slash, den = value.partition("/")
-        try:
-            return Fraction(int(num), int(den) if slash else 1)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ValueError(
-        f"{path} must be an integer or a fraction string, got {value!r}"
-    )
-
-
-def _base_degree(name: str, value) -> int:
-    """Degree of a base curve given as an int or an ``[h, e1, ...]`` array.
-
-    Scripts start on the projective plane, so any exceptional coordinates
-    in the array form must be zero.
-    """
-    path = f"base_curves.{name}"
-    if not isinstance(value, list):
-        return _typed(value, int, path)
-    if not value:
-        raise ValueError(f"base curve {name!r} has an empty class array")
-    head, *tail = (_typed(v, int, f"{path}[{i}]") for i, v in enumerate(value))
-    if any(tail):
-        raise ValueError(
-            f"base curve {name!r} has nonzero exceptional coordinates; "
-            "scripts start on the plane, where only the degree may be set"
-        )
-    return head
-
-
-def _pair(value, path: str, first: type, second: type) -> tuple:
-    """A two-entry array of the given JSON kinds."""
-    if len(_typed(value, list, path)) != 2:
-        raise ValueError(f"{path} must have two entries")
-    return (_typed(value[0], first, f"{path}[0]"),
-            _typed(value[1], second, f"{path}[1]"))
-
-
-def _expectation(raw, path: str, step_count: int) -> Expectation:
-    """One recorded checkpoint, read from the entry at ``path``."""
-    _typed(raw, Mapping, path)
-    after_step = _typed(raw.get("after_step"), int, f"{path}.after_step")
-    if not 0 <= after_step <= step_count:
-        raise ValueError(
-            f"expectation refers to step {after_step}, "
-            f"but the script has {step_count} steps"
-        )
-    cite = _typed(raw.get("cite", ""), str, f"{path}.cite")
-    if "curve" in raw:
-        return Expectation(
-            after_step=after_step,
-            cite=cite,
-            curve=_typed(raw["curve"], str, f"{path}.curve"),
-            self_int=_number(raw.get("self_int"), f"{path}.self_int"),
-        )
-    return Expectation(
-        after_step=after_step,
-        cite=cite,
-        curves=_pair(raw.get("curves"), f"{path}.curves", str, str),
-        intersection=_number(raw.get("intersection"), f"{path}.intersection"),
-    )
-
-
-def parse_script(data: Mapping) -> Script:
-    """Build a :class:`Script` from its JSON object form.
-
-    Degrees, multiplicities and ``after_step`` must be JSON integers, and a
-    checkpoint value an integer or a fraction string ``"p/q"``; anything
-    else raises ``ValueError`` naming the field path.
-    """
-    for key in ("base_curves", "steps"):
-        if key not in data:
-            raise ValueError(f"script is missing the {key!r} key")
-    base = tuple(
-        (name, _base_degree(name, deg))
-        for name, deg in _typed(data["base_curves"], Mapping, "base_curves").items()
-    )
-    raw_steps = [
-        _typed(raw, Mapping, f"steps[{i}]")
-        for i, raw in enumerate(_typed(data["steps"], list, "steps"))
-    ]
-    used = {name for name, _ in base}
-    used.update(
-        _typed(raw["name"], str, f"steps[{i}].name")
-        for i, raw in enumerate(raw_steps) if "name" in raw
-    )
-    steps = []
-    for i, raw in enumerate(raw_steps):
-        path = f"steps[{i}].at"
-        at = tuple(
-            _pair(point, f"{path}[{j}]", str, int)
-            for j, point in enumerate(_typed(raw.get("at"), list, path))
-        )
-        if "name" in raw:
-            name = raw["name"]
-        else:
-            name = f"e{i + 1}"
-            while name in used:
-                name += "'"
-            used.add(name)
-        steps.append(BlowupStep(name=name, center=at))
-    expectations = tuple(
-        _expectation(raw, f"expectations[{i}]", len(steps))
-        for i, raw in enumerate(
-            _typed(data.get("expectations", []), list, "expectations")
-        )
-    )
-    return Script(
-        base_curves=base,
-        steps=tuple(steps),
-        expectations=expectations,
-    )
 
 
 def iter_models(script: Script) -> Iterator[tuple[int, SurfaceModel]]:

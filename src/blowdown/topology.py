@@ -12,25 +12,24 @@ order ``p^2``; each edge is a curve meeting two chains, giving a relation
 between powers of the two meridian generators.  Killing generators via
 greatest common divisors is exactly the computation done by hand in such
 arguments, and the closure below performs it deterministically, recording
-every forcing step.
+every forcing step.  This module reads no JSON: graph files and dataset
+graphs are read by :func:`blowdown.constructions.parse_graph`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence, Union
 
 from .contraction import ChainEmbedding, pullback_canonical
-from .lattice import Rational, SurfaceModel, _typed
+from .lattice import Rational, SurfaceModel
 
 __all__ = [
     "GraphNode",
     "GraphEdge",
     "ConnectionGraph",
-    "parse_graph",
     "ClosureStep",
     "Pi1Result",
     "pi1_closure",
@@ -85,73 +84,6 @@ class ConnectionGraph:
     nodes: tuple[GraphNode, ...]
     edges: tuple[GraphEdge, ...]
     reconstructed: bool = False
-
-
-def _count(value, path: str) -> int:
-    """A positive integer field of a graph; errors name its path."""
-    if _typed(value, int, path) < 1:
-        raise ValueError(f"{path} must be positive, got {value}")
-    return value
-
-
-def _list(data: Mapping, key: str) -> list:
-    value = data.get(key)
-    if not isinstance(value, list):
-        raise ValueError(f"graph.{key} must be a list")
-    return value
-
-
-def _fields(entry, path: str, *keys: str) -> tuple[str, ...]:
-    """Required string fields of a graph entry; errors name their path."""
-    _typed(entry, Mapping, path)
-    for key in keys:
-        if key not in entry:
-            raise ValueError(f"{path}.{key} is missing")
-    return tuple(_typed(entry[key], str, f"{path}.{key}") for key in keys)
-
-
-def parse_graph(data: Mapping) -> ConnectionGraph:
-    """Build a graph from its JSON object form.
-
-    ``nodes`` and ``edges`` must be lists, each node needs a string
-    ``name`` and each edge its string ends ``a`` and ``b``; an order,
-    ``p``, ``q`` or meridian power must be a positive integer, and
-    ``reconstructed`` a boolean.  Anything else raises ``ValueError``
-    naming the field.
-    """
-    _typed(data, Mapping, "graph")
-    parsed = []
-    for i, n in enumerate(_list(data, "nodes")):
-        path = f"graph.nodes[{i}]"
-        (name,) = _fields(n, path, "name")
-        if "order" in n:
-            order = _count(n["order"], f"{path}.order")
-            parsed.append(GraphNode(name=name, explicit_order=order))
-        else:
-            parsed.append(GraphNode(
-                name=name, p=_count(n.get("p"), f"{path}.p"),
-                q=_count(n.get("q"), f"{path}.q"),
-            ))
-    nodes = tuple(parsed)
-    names = {n.name for n in nodes}
-    if len(names) != len(nodes):
-        raise ValueError("graph has duplicate node names")
-    edges = []
-    for i, e in enumerate(_list(data, "edges")):
-        a, b = _fields(e, f"graph.edges[{i}]", "a", "b")
-        if a not in names or b not in names:
-            raise ValueError(f"edge {a!r} -- {b!r} mentions an unknown node")
-        edges.append(GraphEdge(
-            a=a, b=b,
-            power_a=_count(e.get("power_a"), f"graph.edges[{i}].power_a"),
-            power_b=_count(e.get("power_b"), f"graph.edges[{i}].power_b"),
-        ))
-    return ConnectionGraph(
-        nodes=nodes,
-        edges=tuple(edges),
-        reconstructed=_typed(data.get("reconstructed", False), bool,
-                             "graph.reconstructed"),
-    )
 
 
 @dataclass(frozen=True)

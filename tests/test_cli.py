@@ -241,8 +241,8 @@ def test_pi1_graph_file(tmp_path):
 
 
 @pytest.mark.parametrize("graph,message", [
-    ({"nodes": 5, "edges": []}, "graph.nodes must be a list"),
-    ({"nodes": [{"name": "A", "order": 4}]}, "graph.edges must be a list"),
+    ({"nodes": 5, "edges": []}, "graph.nodes must be an array"),
+    ({"nodes": [{"name": "A", "order": 4}]}, "graph.edges must be an array"),
     ({"nodes": [{"order": 4}], "edges": []}, "graph.nodes[0].name is missing"),
     ({"nodes": [4], "edges": []}, "graph.nodes[0] must be an object"),
     ({"nodes": [{"name": "A", "order": 4}], "edges": [{"a": "A"}]},

@@ -43,7 +43,7 @@ from .lattice import (
     grade_checkpoints,
     run_script,
 )
-from .tchains import chain_discrepancies, k_squared_gain, wahl_chain
+from .tchains import chain_discrepancies, k_squared_gain
 from .topology import (
     ConnectionGraph,
     GraphEdge,
@@ -120,11 +120,11 @@ class Construction:
     @property
     def records_fiber_decomposition(self) -> bool:
         """Whether the dataset records what expanding the pullback over
-        curve classes needs: a base surface step, fiber supports, and the
-        ``pullback_fiber_weights`` and ``canonical_relation`` tables."""
+        curve classes needs: fiber supports (which the reader accepts only
+        with a base surface step), and the ``pullback_fiber_weights`` and
+        ``canonical_relation`` tables."""
         return (
-            self.base_surface_step is not None
-            and bool(self.fiber_expansions)
+            bool(self.fiber_expansions)
             and "pullback_fiber_weights" in self.recorded
             and "canonical_relation" in self.recorded
         )
@@ -139,6 +139,41 @@ def _typed(value, kind: type, path: str):
     An integer is an ``int`` proper, so a boolean is not one."""
     if type(value) is not kind and (kind is int or not isinstance(value, kind)):
         raise ValueError(f"{path} must be {_KINDS[kind]}")
+    return value
+
+
+# The keys each object of a dataset or graph file may carry; any other key
+# is an input error.  Tables keyed by curve, chain or fiber names stay open,
+# since the checks grade their keys.  Three keys are kept but never read:
+#   comments          prose for the reader of the file;
+#   errata.note       prose on how the corrections were found;
+#   graph edge curve  names the curve behind the edge; the closure reads
+#                     only its powers.
+_TOP_KEYS = {
+    "name", "title", "citation", "comments", "base_curves", "steps",
+    "expectations", "chains", "graph", "base_surface_step", "fiber_expansions",
+    "nef_test_curves", "parity_override", "expected", "errata",
+}
+_STEP_KEYS = {"name", "at"}
+_EXPECTATION_KEYS = {"after_step", "cite", "curve", "self_int", "curves",
+                     "intersection"}
+_CHAIN_KEYS = {"p", "q", "curves"}
+_GRAPH_KEYS = {"nodes", "edges", "reconstructed"}
+_NODE_KEYS = {"name", "order", "p", "q"}
+_EDGE_KEYS = {"a", "b", "power_a", "power_b", "curve"}
+# The four correction tables the checks read, and the note.
+_ERRATA_KEYS = {"canonical_relation", "fiber_relation", "pullback_coefficients",
+                "nef_values", "note"}
+
+
+def _object(value, path: str, keys) -> Mapping:
+    """``value``, checked to be a JSON object with no key outside ``keys``;
+    errors name its path, or ``path.key`` for an unknown key.  The empty
+    path is the dataset itself."""
+    for key in _typed(value, Mapping, path or "a construction dataset"):
+        if key not in keys:
+            field = f"{path}.{key}" if path else key
+            raise ValueError(f"{field} is not a known field")
     return value
 
 
@@ -187,7 +222,7 @@ def _pair(value, path: str, first: type, second: type) -> tuple:
 
 def _expectation(raw, path: str, step_count: int) -> Expectation:
     """One recorded checkpoint, read from the entry at ``path``."""
-    _typed(raw, Mapping, path)
+    _object(raw, path, _EXPECTATION_KEYS)
     after_step = _typed(raw.get("after_step"), int, f"{path}.after_step")
     if not 0 <= after_step <= step_count:
         raise ValueError(
@@ -225,7 +260,7 @@ def parse_script(data: Mapping) -> Script:
         for name, deg in _typed(data["base_curves"], Mapping, "base_curves").items()
     )
     raw_steps = [
-        _typed(raw, Mapping, f"steps[{i}]")
+        _object(raw, f"steps[{i}]", _STEP_KEYS)
         for i, raw in enumerate(_typed(data["steps"], list, "steps"))
     ]
     used = {name for name, _ in base}
@@ -268,9 +303,8 @@ def _count(value, path: str) -> int:
     return value
 
 
-def _fields(entry, path: str, *keys: str) -> tuple[str, ...]:
+def _fields(entry: Mapping, path: str, *keys: str) -> tuple[str, ...]:
     """Required string fields of a graph entry; errors name their path."""
-    _typed(entry, Mapping, path)
     for key in keys:
         if key not in entry:
             raise ValueError(f"{path}.{key} is missing")
@@ -286,11 +320,11 @@ def parse_graph(data: Mapping) -> ConnectionGraph:
     ``reconstructed`` a boolean.  Anything else raises ``ValueError``
     naming the field.
     """
-    _typed(data, Mapping, "graph")
+    _object(data, "graph", _GRAPH_KEYS)
     parsed = []
     for i, n in enumerate(_typed(data.get("nodes"), list, "graph.nodes")):
         path = f"graph.nodes[{i}]"
-        (name,) = _fields(n, path, "name")
+        (name,) = _fields(_object(n, path, _NODE_KEYS), path, "name")
         if "order" in n:
             order = _count(n["order"], f"{path}.order")
             parsed.append(GraphNode(name=name, explicit_order=order))
@@ -305,13 +339,14 @@ def parse_graph(data: Mapping) -> ConnectionGraph:
         raise ValueError("graph has duplicate node names")
     edges = []
     for i, e in enumerate(_typed(data.get("edges"), list, "graph.edges")):
-        a, b = _fields(e, f"graph.edges[{i}]", "a", "b")
+        path = f"graph.edges[{i}]"
+        a, b = _fields(_object(e, path, _EDGE_KEYS), path, "a", "b")
         if a not in names or b not in names:
             raise ValueError(f"edge {a!r} -- {b!r} mentions an unknown node")
         edges.append(GraphEdge(
             a=a, b=b,
-            power_a=_count(e.get("power_a"), f"graph.edges[{i}].power_a"),
-            power_b=_count(e.get("power_b"), f"graph.edges[{i}].power_b"),
+            power_a=_count(e.get("power_a"), f"{path}.power_a"),
+            power_b=_count(e.get("power_b"), f"{path}.power_b"),
         ))
     return ConnectionGraph(
         nodes=nodes,
@@ -319,8 +354,6 @@ def parse_graph(data: Mapping) -> ConnectionGraph:
         reconstructed=_typed(data.get("reconstructed", False), bool,
                              "graph.reconstructed"),
     )
-
-
 
 
 def _split_expected(raw: Mapping) -> tuple[dict, dict]:
@@ -365,8 +398,8 @@ def _kind(kind: type):
 _strings = _array(_kind(str))
 
 
-# How each recorded value the checks grade is parsed; the keys of
-# ``expected`` and ``errata`` that are not listed are kept as printed only.
+# How each recorded value the checks grade is parsed: the keys ``expected``
+# may carry.
 _RECORDED = {
     **dict.fromkeys((
         "blowup_count", "rank", "k_squared_resolution", "k_squared", "euler",
@@ -399,19 +432,21 @@ def _parse_chains(raw) -> tuple[ChainEmbedding, ...]:
     chains = []
     for i, entry in enumerate(_typed(raw, list, "chains")):
         path = f"chains[{i}]"
-        _typed(entry, Mapping, path)
-        p = _typed(entry.get("p"), int, f"{path}.p")
-        q = _typed(entry.get("q"), int, f"{path}.q")
+        _object(entry, path, _CHAIN_KEYS)
+        emb = ChainEmbedding(
+            p=_typed(entry.get("p"), int, f"{path}.p"),
+            q=_typed(entry.get("q"), int, f"{path}.q"),
+            curves=_strings(entry.get("curves"), f"{path}.curves"),
+        )
         # A chain too long to expand is an input error; an undefined
         # fraction is left for the replay, where the shape fails to match.
-        if 0 < p * q - 1 < p * p:
+        # The chain expanded here is the one the replay matches.
+        if 0 < emb.p * emb.q - 1 < emb.p * emb.p:
             try:
-                wahl_chain(p, q)
+                emb.chain
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
-        chains.append(ChainEmbedding(
-            p=p, q=q, curves=_strings(entry.get("curves"), f"{path}.curves"),
-        ))
+        chains.append(emb)
     return tuple(chains)
 
 
@@ -420,11 +455,14 @@ def parse_construction(
 ) -> Construction:
     """Build a :class:`Construction` from its JSON object form.
 
-    Malformed input raises ``ValueError`` naming the offending field.
+    Malformed input raises ``ValueError`` naming the offending field, as
+    does a key the format does not define, or a ``fiber_expansions`` or
+    ``expected.canonical_relation`` without ``base_surface_step``.
     """
-    _typed(data, Mapping, "a construction dataset")
-    for key in ("expected", "errata", "fiber_expansions"):
-        _typed(data.get(key, {}), Mapping, key)
+    _object(data, "", _TOP_KEYS)
+    _object(data.get("expected", {}), "expected", _RECORDED)
+    _object(data.get("errata", {}), "errata", _ERRATA_KEYS)
+    _typed(data.get("fiber_expansions", {}), Mapping, "fiber_expansions")
     script = parse_script(data)
     chains = _parse_chains(data.get("chains", []))
     graph = parse_graph(data["graph"]) if data.get("graph") else None
@@ -442,6 +480,10 @@ def parse_construction(
     )
     parity = data.get("parity_override")
     expected, expected_cites = _split_expected(data.get("expected", {}))
+    if base_step is None and (fibers or "canonical_relation" in expected):
+        needs = "fiber_expansions" if fibers else "expected.canonical_relation"
+        raise ValueError(f"base_surface_step is missing, but {needs} is "
+                         "measured from the base surface")
     errata = data.get("errata", {})
     return Construction(
         name=_typed(data.get("name", source_path or "construction"), str, "name"),
@@ -1080,8 +1122,7 @@ _CHECKS = (
     ("orthogonality", _orthogonality_check, "", _always),
     ("k_squared", _k_squared_check, "k_squared", _always),
     ("canonical_relation", _canonical_relation_check, "canonical_relation",
-     lambda c: c.base_surface_step is not None
-     and "canonical_relation" in c.expected),
+     lambda c: "canonical_relation" in c.expected),
     ("fiber_relation", _fiber_relation_check, "fiber_relation",
      lambda c: bool(c.fiber_expansions) and "fiber_relation" in c.expected),
     ("pullback_expansion", _pullback_expansion_check, "pullback_coefficients",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Sequence, Union
 
@@ -58,10 +59,15 @@ class ChainEmbedding:
     def label(self) -> str:
         return f"C({self.p},{self.q})"
 
+    @cached_property
+    def chain(self) -> tuple[int, ...]:
+        """``wahl_chain(p, q)``, expanded at most once per embedding."""
+        return wahl_chain(self.p, self.q)
+
     def match(self, bs: tuple[int, ...]) -> tuple[int, ...]:
         """``bs``, checked to be the expansion of ``p^2/(pq - 1)`` (chain
         determinant ``p^2``) for coprime ``0 < q < p``, a rational ball's."""
-        expected_bs = wahl_chain(self.p, self.q)
+        expected_bs = self.chain
         if bs != expected_bs:
             raise ContractionError(
                 f"{self.label}: shape {bs} does not match the expansion "

@@ -11,7 +11,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from blowdown import cli
+from blowdown import cli, parse_construction, read_dataset
 from blowdown.cli import MAX_CHAIN_LENGTH, MAX_GEN_LENGTH
 from blowdown.tchains import ClassTResult, hj_expand
 
@@ -441,6 +441,88 @@ def test_malformed_recorded_field_exits_2(write_mutant, main_construction, path,
     assert result.returncode == 2
     assert message in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("path,value,field", [
+    (("comment",), 1, "comment"),
+    (("steps", 3, "mult"), 1, "steps[3].mult"),
+    (("expectations", 5, "value"), 1, "expectations[5].value"),
+    (("chains", 1, "length"), 1, "chains[1].length"),
+    (("graph", "loops"), 1, "graph.loops"),
+    (("graph", "nodes", 2, "order_b"), 1, "graph.nodes[2].order_b"),
+    (("graph", "edges", 1, "power"), 1, "graph.edges[1].power"),
+    (("expected", "k2"), {"cite": "x", "value": 7}, "expected.k2"),
+    (("errata", "notes"), ["x"], "errata.notes"),
+    # Keys that no check reads, which used to pass with exit 0.
+    (("errata", "discrepancies"), {"C(99,1)": ["1/2"]}, "errata.discrepancies"),
+    (("errata", "k_squared"), "7", "errata.k_squared"),
+    (("expected", "k_sqared"), {"cite": "x", "value": 7}, "expected.k_sqared"),
+    (("nef_tset_curves",), ["F1"], "nef_tset_curves"),
+], ids=["top_level", "step", "expectation", "chain", "graph", "graph_node",
+        "graph_edge", "expected", "errata", "errata_discrepancies",
+        "errata_k_squared", "expected_typo", "top_level_typo"])
+@pytest.mark.parametrize("command", ["verify", "contract", "invariants"])
+def test_an_unknown_key_exits_2_naming_its_path(capsys, write_mutant,
+                                                main_construction, command,
+                                                path, value, field):
+    mutant = write_mutant(main_construction, path, value)
+    code, out, err = run_in_process(capsys, command, "--dataset", mutant)
+    assert (code, out) == (2, "")
+    assert err == f"error: {field} is not a known field\n"
+
+
+@pytest.mark.parametrize("key", ["graph", "nodes[0]", "edges[0]"])
+def test_an_unknown_key_in_a_graph_file_exits_2(capsys, tmp_path, key):
+    graph = {"nodes": [{"name": "A", "order": 4}],
+             "edges": [{"a": "A", "b": "A", "power_a": 1, "power_b": 1}]}
+    entry = graph if key == "graph" else graph[key[:5]][0]
+    entry["extra"] = 1
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    code, out, err = run_in_process(capsys, "pi1", str(path))
+    assert (code, out) == (2, "")
+    field = "graph.extra" if key == "graph" else f"graph.{key}.extra"
+    assert err == f"error: {field} is not a known field\n"
+
+
+def test_built_in_datasets_carry_only_known_keys():
+    """Every key of the built-in datasets is one the reader knows, and the
+    keys it keeps unread (``comments``, ``errata.note``, edge ``curve``)
+    are there to keep."""
+    for name in ("main_k3", "pencil2_k3", "k4"):
+        data, _, _ = read_dataset(name)
+        parse_construction(data)
+        assert "comments" in data
+        assert all("curve" in edge for edge in data["graph"]["edges"])
+
+
+@pytest.mark.parametrize("drop,needs", [
+    (("base_surface_step",), "fiber_expansions"),
+    (("base_surface_step", "fiber_expansions"), "expected.canonical_relation"),
+], ids=["with_fibers", "without_fibers"])
+@pytest.mark.parametrize("command", ["verify", "contract", "invariants"])
+def test_a_fiber_decomposition_without_base_surface_step_exits_2(
+        capsys, tmp_path, main_raw, command, drop, needs):
+    for key in drop:
+        del main_raw[key]
+    path = tmp_path / "no_base.json"
+    path.write_text(json.dumps(main_raw))
+    code, out, err = run_in_process(capsys, command, "--dataset", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: base_surface_step is missing, but {needs} is "
+                   "measured from the base surface\n")
+
+
+@pytest.mark.parametrize("dataset", ["main_k3", "pencil2_k3", "k4"])
+@pytest.mark.parametrize("command", ["verify", "contract", "invariants"])
+def test_each_dataset_chain_is_expanded_once(capsys, count_calls, dataset,
+                                             command, request):
+    construction = request.getfixturevalue(f"{dataset.split('_')[0]}_construction")
+    expansions = count_calls(hj_expand)
+    code, _, err = run_in_process(capsys, command, dataset, "--json")
+    assert (code, err) == (0, "")
+    assert sorted(expansions) == sorted(
+        (emb.p * emb.p, emb.p * emb.q - 1) for emb in construction.chains)
 
 
 @pytest.mark.parametrize("dataset,steps", [

@@ -95,8 +95,9 @@ def available_constructions() -> tuple[str, ...]:
 class Construction:
     """A dataset: script, chains, graph, expectations and corrections.
 
-    ``expected`` and ``errata`` hold the recorded values as printed;
-    ``recorded`` and ``corrections`` hold them parsed once, for the checks.
+    ``expected`` holds the recorded values and ``errata`` their corrections,
+    each parsed once: numbers are fractions, and a table maps names to
+    them.  ``expected_cites`` holds where each recorded value was printed.
     """
 
     name: str
@@ -112,8 +113,6 @@ class Construction:
     expected: Mapping
     errata: Mapping
     expected_cites: Mapping
-    recorded: Mapping
-    corrections: Mapping
     source_path: str = ""
     sha256: str = ""
 
@@ -125,8 +124,8 @@ class Construction:
         ``canonical_relation`` tables."""
         return (
             bool(self.fiber_expansions)
-            and "pullback_fiber_weights" in self.recorded
-            and "canonical_relation" in self.recorded
+            and "pullback_fiber_weights" in self.expected
+            and "canonical_relation" in self.expected
         )
 
 
@@ -155,8 +154,9 @@ _TOP_KEYS = {
     "nef_test_curves", "parity_override", "expected", "errata",
 }
 _STEP_KEYS = {"name", "at"}
-_EXPECTATION_KEYS = {"after_step", "cite", "curve", "self_int", "curves",
-                     "intersection"}
+# A checkpoint is a self-intersection of one curve or a pairing of two.
+_SELF_INT_KEYS = {"after_step", "cite", "curve", "self_int"}
+_PAIRING_KEYS = {"after_step", "cite", "curves", "intersection"}
 _CHAIN_KEYS = {"p", "q", "curves"}
 _GRAPH_KEYS = {"nodes", "edges", "reconstructed"}
 _NODE_KEYS = {"name", "order", "p", "q"}
@@ -221,8 +221,11 @@ def _pair(value, path: str, first: type, second: type) -> tuple:
 
 
 def _expectation(raw, path: str, step_count: int) -> Expectation:
-    """One recorded checkpoint, read from the entry at ``path``."""
-    _object(raw, path, _EXPECTATION_KEYS)
+    """One recorded checkpoint, read from the entry at ``path``: the
+    ``self_int`` of one ``curve``, or the ``intersection`` of two
+    ``curves``."""
+    single = "curve" in _typed(raw, Mapping, path)
+    _object(raw, path, _SELF_INT_KEYS if single else _PAIRING_KEYS)
     after_step = _typed(raw.get("after_step"), int, f"{path}.after_step")
     if not 0 <= after_step <= step_count:
         raise ValueError(
@@ -230,19 +233,14 @@ def _expectation(raw, path: str, step_count: int) -> Expectation:
             f"but the script has {step_count} steps"
         )
     cite = _typed(raw.get("cite", ""), str, f"{path}.cite")
-    if "curve" in raw:
-        return Expectation(
-            after_step=after_step,
-            cite=cite,
-            curve=_typed(raw["curve"], str, f"{path}.curve"),
-            self_int=_number(raw.get("self_int"), f"{path}.self_int"),
-        )
-    return Expectation(
-        after_step=after_step,
-        cite=cite,
-        curves=_pair(raw.get("curves"), f"{path}.curves", str, str),
-        intersection=_number(raw.get("intersection"), f"{path}.intersection"),
-    )
+    if single:
+        curve = _typed(raw["curve"], str, f"{path}.curve")
+        curves, key = (curve, curve), "self_int"
+    else:
+        curves = _pair(raw.get("curves"), f"{path}.curves", str, str)
+        key = "intersection"
+    return Expectation(after_step=after_step, curves=curves,
+                       value=_number(raw.get(key), f"{path}.{key}"), cite=cite)
 
 
 def parse_script(data: Mapping) -> Script:
@@ -356,25 +354,6 @@ def parse_graph(data: Mapping) -> ConnectionGraph:
     )
 
 
-def _split_expected(raw: Mapping) -> tuple[dict, dict]:
-    """Unwrap ``{"cite": ..., "value"/"values": ...}`` entries.
-
-    Every recorded value is supposed to say where it was printed; the
-    citation strings are collected separately so the value-consuming code
-    stays simple and the citation audit stays explicit.
-    """
-    expected: dict = {}
-    cites: dict = {}
-    for key, entry in raw.items():
-        if isinstance(entry, Mapping) and ("value" in entry or "values" in entry):
-            expected[key] = entry["values"] if "values" in entry else entry["value"]
-            cites[key] = _typed(entry.get("cite", ""), str, f"expected.{key}.cite")
-        else:
-            expected[key] = entry
-            cites[key] = ""
-    return expected, cites
-
-
 def _array(parse):
     """A parser of a JSON array whose every entry ``parse`` reads."""
     return lambda value, path: tuple(
@@ -418,14 +397,25 @@ _RECORDED = {
 }
 
 
-def _parse_recorded(section: str, raw: Mapping) -> dict:
-    """The recorded values of a section, parsed once; a malformed one
-    raises ``ValueError`` naming its field."""
-    return {
-        key: _RECORDED[key](value, f"{section}.{key}")
-        for key, value in raw.items()
-        if key in _RECORDED
-    }
+def _parse_recorded(raw: Mapping) -> tuple[dict, dict]:
+    """The recorded values of ``expected`` and their citations, each entry
+    read once; a malformed one raises ``ValueError`` naming its field.
+
+    An entry is a wrapper ``{"cite": ..., "value": ...}`` (``"values"`` for
+    a table) or a bare value, which cites nothing."""
+    values: dict = {}
+    cites: dict = {}
+    for key, entry in raw.items():
+        path = f"expected.{key}"
+        cite = ""
+        if isinstance(entry, Mapping) and ("value" in entry or "values" in entry):
+            field = "values" if "values" in entry else "value"
+            _object(entry, path, {"cite", field})
+            cite = _typed(entry.get("cite", ""), str, f"{path}.cite")
+            entry = entry[field]
+        values[key] = _RECORDED[key](entry, path)
+        cites[key] = cite
+    return values, cites
 
 
 def _parse_chains(raw) -> tuple[ChainEmbedding, ...]:
@@ -456,8 +446,10 @@ def parse_construction(
     """Build a :class:`Construction` from its JSON object form.
 
     Malformed input raises ``ValueError`` naming the offending field, as
-    does a key the format does not define, or a ``fiber_expansions`` or
-    ``expected.canonical_relation`` without ``base_surface_step``.
+    does a key the format does not define, a ``fiber_expansions`` or
+    ``expected.canonical_relation`` without ``base_surface_step``, or an
+    ``expected.pi1_trivial`` without ``graph``.  Only a missing or ``null``
+    ``graph`` means the dataset has none.
     """
     _object(data, "", _TOP_KEYS)
     _object(data.get("expected", {}), "expected", _RECORDED)
@@ -465,7 +457,7 @@ def parse_construction(
     _typed(data.get("fiber_expansions", {}), Mapping, "fiber_expansions")
     script = parse_script(data)
     chains = _parse_chains(data.get("chains", []))
-    graph = parse_graph(data["graph"]) if data.get("graph") else None
+    graph = None if data.get("graph") is None else parse_graph(data["graph"])
     base_step = data.get("base_surface_step")
     if base_step is not None and not (
         0 <= _typed(base_step, int, "base_surface_step") <= script.step_count
@@ -479,12 +471,14 @@ def parse_construction(
         for name, support in data.get("fiber_expansions", {}).items()
     )
     parity = data.get("parity_override")
-    expected, expected_cites = _split_expected(data.get("expected", {}))
+    expected, expected_cites = _parse_recorded(data.get("expected", {}))
     if base_step is None and (fibers or "canonical_relation" in expected):
         needs = "fiber_expansions" if fibers else "expected.canonical_relation"
         raise ValueError(f"base_surface_step is missing, but {needs} is "
                          "measured from the base surface")
-    errata = data.get("errata", {})
+    if graph is None and "pi1_trivial" in expected:
+        raise ValueError("graph is missing, but expected.pi1_trivial is "
+                         "read off its closure")
     return Construction(
         name=_typed(data.get("name", source_path or "construction"), str, "name"),
         title=_typed(data.get("title", ""), str, "title"),
@@ -499,10 +493,12 @@ def parse_construction(
         parity_override=(None if parity is None
                          else _typed(parity, str, "parity_override")),
         expected=expected,
-        errata=errata,
+        errata={
+            key: _RECORDED[key](value, f"errata.{key}")
+            for key, value in data.get("errata", {}).items()
+            if key != "note"
+        },
         expected_cites=expected_cites,
-        recorded=_parse_recorded("expected", expected),
-        corrections=_parse_recorded("errata", errata),
         source_path=source_path,
         sha256=sha256,
     )
@@ -723,7 +719,7 @@ class Replay:
         """``K`` minus the base surface's ``K``, expanded over the recorded
         canonical relation support."""
         base_k = self.model.canonical_at(self.construction.base_surface_step)
-        support = list(self.construction.recorded["canonical_relation"])
+        support = list(self.construction.expected["canonical_relation"])
         return expand_in_curves(self.model, self.model.canonical - base_k, support)
 
     @cached_property
@@ -745,7 +741,7 @@ class Replay:
                 "dataset does not record the fiber decomposition needed to "
                 "expand the pullback over curve classes"
             )
-        weights = construction.recorded["pullback_fiber_weights"]
+        weights = construction.expected["pullback_fiber_weights"]
         coefficients: dict[str, Fraction] = {}
 
         def accumulate(name: str, value: Fraction) -> None:
@@ -837,12 +833,7 @@ def verify(construction: Construction) -> VerifyReport:
 
 def _script_check(replay: Replay, grade: _Grade):
     results = replay.checkpoints
-    failures = [
-        f"after step {exp.after_step}: {exp.describe()} recorded "
-        f"{exp.expected_value()}, computed {actual} [{exp.cite}]"
-        for exp, actual, ok in results
-        if not ok
-    ]
+    failures = [exp.mismatch(actual) for exp, actual, ok in results if not ok]
     grade.note(f"{len(results) - len(failures)} of {len(results)} recorded "
                "intersection numbers reproduced")
     for line in failures:
@@ -875,7 +866,7 @@ def _artin_check(replay: Replay, grade: _Grade):
 
 def _discrepancy_check(replay: Replay, grade: _Grade):
     construction = replay.construction
-    recorded_tables = construction.recorded.get("discrepancies", {})
+    recorded_tables = construction.expected.get("discrepancies", {})
     for emb, bs, ds in zip(construction.chains, replay.shapes, replay.discrepancies):
         if not all(0 < d < 1 for d in ds):
             grade.fail(
@@ -926,7 +917,7 @@ def _orthogonality_check(replay: Replay, grade: _Grade):
 
 def _k_squared_check(replay: Replay, grade: _Grade):
     construction, model = replay.construction, replay.model
-    recorded = construction.recorded
+    recorded = construction.expected
     k2 = replay.k_squared
     k2_res = model.canonical_self_intersection()
     total_length = sum(len(emb.curves) for emb in construction.chains)
@@ -945,22 +936,22 @@ def _k_squared_check(replay: Replay, grade: _Grade):
 def _canonical_relation_check(replay: Replay, grade: _Grade):
     construction = replay.construction
     grade.table(
-        "canonical_relation", construction.recorded["canonical_relation"],
-        replay.relation, construction.corrections.get("canonical_relation", {}),
+        "canonical_relation", construction.expected["canonical_relation"],
+        replay.relation, construction.errata.get("canonical_relation", {}),
     )
 
 
 def _fiber_relation_check(replay: Replay, grade: _Grade):
     construction = replay.construction
-    corrections = construction.corrections.get("fiber_relation", {})
+    corrections = construction.errata.get("fiber_relation", {})
     names = dict(construction.fiber_expansions)
-    grade.unmatched("fiber_relation", construction.recorded["fiber_relation"],
+    grade.unmatched("fiber_relation", construction.expected["fiber_relation"],
                     names, "fiber expansion")
     grade.unmatched("fiber_relation correction", corrections, names,
                     "fiber expansion")
     for name in names:
         grade.table(
-            f"fiber {name}", construction.recorded["fiber_relation"][name],
+            f"fiber {name}", construction.expected["fiber_relation"][name],
             replay.fibers[name], corrections.get(name, {}),
         )
 
@@ -969,15 +960,15 @@ def _pullback_expansion_check(replay: Replay, grade: _Grade):
     construction, model = replay.construction, replay.model
     coefficients = replay.coefficients
     grade.unmatched("pullback_fiber_weights",
-                    construction.recorded["pullback_fiber_weights"],
+                    construction.expected["pullback_fiber_weights"],
                     replay.fibers, "fiber expansion")
     assembled = model.canonical * 0
     for curve, coeff in coefficients.items():
         assembled = assembled + coeff * model.curve(curve)
     grade.table(
-        "pullback", construction.recorded["pullback_coefficients"],
+        "pullback", construction.expected["pullback_coefficients"],
         {curve: coeff for curve, coeff in coefficients.items() if coeff},
-        construction.corrections.get("pullback_coefficients", {}),
+        construction.errata.get("pullback_coefficients", {}),
     )
     if assembled != replay.pullback:
         grade.fail("assembled expansion does not reproduce the pullback class")
@@ -987,7 +978,7 @@ def _pullback_expansion_check(replay: Replay, grade: _Grade):
 
 def _nef_check(replay: Replay, grade: _Grade):
     construction = replay.construction
-    recorded = construction.recorded
+    recorded = construction.expected
     values = nef_values(replay.model, construction.chains,
                         construction.nef_test_curves, replay.pullback)
     computed = dict(values)
@@ -1010,7 +1001,7 @@ def _nef_check(replay: Replay, grade: _Grade):
         printed = recorded["nef_values"]
         grade.table(
             "nef", printed, {k: v for k, v in computed.items() if k in printed},
-            construction.corrections.get("nef_values", {}),
+            construction.errata.get("nef_values", {}),
         )
     if "zero_on_contracted" in recorded:
         # The pullback exists only if it is orthogonal to every contracted
@@ -1026,7 +1017,7 @@ def _nef_check(replay: Replay, grade: _Grade):
 
 def _invariants_check(replay: Replay, grade: _Grade):
     model, summary = replay.model, replay.summary
-    expected = replay.construction.recorded
+    expected = replay.construction.expected
     for key, actual, label in (
         ("blowup_count", model.blowup_count, "blow-ups"),
         ("rank", model.lattice_rank, "lattice rank"),
@@ -1071,7 +1062,7 @@ def _pi1_check(replay: Replay, grade: _Grade):
                 f"graph node {node.name} carries (p, q) = ({node.p}, "
                 f"{node.q}), but its chain has ({emb.p}, {emb.q})"
             )
-    recorded = construction.recorded
+    recorded = construction.expected
     if recorded.get("pi1_trivial", result.trivial) != result.trivial:
         grade.fail(f"closure trivial = {result.trivial}, recorded "
                    f"{recorded['pi1_trivial']}")
@@ -1080,7 +1071,7 @@ def _pi1_check(replay: Replay, grade: _Grade):
 def _rationality_check(replay: Replay, grade: _Grade):
     summary = replay.summary
     verdict, value = rationality_exclusion(summary.k_squared, summary.chi)
-    recorded = replay.construction.recorded["rationality_exclusion"]
+    recorded = replay.construction.expected["rationality_exclusion"]
     grade.note(f"second plurigenus chi + K^2 = {value}"
                + (", positive, so the surface is not rational" if verdict else ""))
     if value != recorded:

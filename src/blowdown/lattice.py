@@ -277,58 +277,34 @@ def intersect(
 class ExpectationError(AssertionError):
     """A recorded intersection number disagrees with the computed one."""
 
-    def __init__(
-        self,
-        expectation: "Expectation",
-        actual: Fraction,
-    ) -> None:
+    def __init__(self, expectation: "Expectation", actual: Rational) -> None:
         self.expectation = expectation
         self.actual = actual
-        super().__init__(
-            f"after step {expectation.after_step}, {expectation.describe()} "
-            f"expected {expectation.expected_value()} but computed {actual}"
-            + (f" [{expectation.cite}]" if expectation.cite else "")
-        )
+        super().__init__(expectation.mismatch(actual))
 
 
 @dataclass(frozen=True)
 class Expectation:
-    """A checkable intersection number tied to a point in the blow-up script.
+    """A recorded intersection number tied to a point in the blow-up script:
+    after step ``after_step``, the two ``curves`` pair to ``value``.
 
-    Exactly one of two shapes is allowed: a self-intersection (``curve`` and
-    ``self_int`` set) or a pairing of two curves (``curves`` and
-    ``intersection`` set).  ``cite`` records where the number was published.
+    A self-intersection is a curve paired with itself.  ``cite`` records
+    where the number was published.
     """
 
     after_step: int
+    curves: tuple[str, str]
+    value: Fraction
     cite: str = ""
-    curve: Union[str, None] = None
-    self_int: Union[Fraction, None] = None
-    curves: Union[tuple[str, str], None] = None
-    intersection: Union[Fraction, None] = None
-
-    def __post_init__(self) -> None:
-        single = self.curve is not None
-        pair = self.curves is not None
-        if single == pair:
-            raise ValueError(
-                "expectation needs either a curve or a pair of curves"
-            )
-        if single and self.self_int is None:
-            raise ValueError(f"expectation on {self.curve!r} has no value")
-        if pair and self.intersection is None:
-            raise ValueError(f"expectation on {self.curves!r} has no value")
 
     def describe(self) -> str:
-        if self.curve is not None:
-            return f"({self.curve})^2"
-        a, b = self.curves  # type: ignore[misc]
-        return f"({a}).({b})"
+        a, b = self.curves
+        return f"({a})^2" if a == b else f"({a}).({b})"
 
-    def expected_value(self) -> Fraction:
-        if self.curve is not None:
-            return Fraction(self.self_int)  # type: ignore[arg-type]
-        return Fraction(self.intersection)  # type: ignore[arg-type]
+    def mismatch(self, actual: Rational) -> str:
+        """The report of this checkpoint computing ``actual``."""
+        return (f"after step {self.after_step}: {self.describe()} recorded "
+                f"{self.value}, computed {actual} [{self.cite}]")
 
     def grade(self, model: SurfaceModel) -> tuple["Expectation", Rational, bool]:
         """This checkpoint, its value after step ``after_step`` and whether
@@ -337,16 +313,15 @@ class Expectation:
         A blow-up only appends a coordinate: the pairing after the step is
         the Gram entry plus the products of the later coordinates, and a
         curve whose earlier coordinates all vanish did not exist yet."""
-        names = self.curves or (self.curve, self.curve)
         k = self.after_step + 1
         tails = []
-        for name in names:
+        for name in self.curves:
             coords = model.curve(name).coords
             if not any(coords[:k]):
                 raise _no_curve(name)
             tails.append(coords[k:])
-        actual = model.intersect(*names) + sum(map(mul, *tails))
-        return self, actual, actual == self.expected_value()
+        actual = model.intersect(*self.curves) + sum(map(mul, *tails))
+        return self, actual, actual == self.value
 
 
 @dataclass(frozen=True)

@@ -427,13 +427,21 @@ def test_recorded_table_that_is_an_array_exits_2(tmp_path, main_construction):
     (("graph", "reconstructed"), "no", "graph.reconstructed must be a boolean"),
     (("graph", "nodes", 0, "name"), 5, "graph.nodes[0].name must be a string"),
     (("graph", "edges", 0, "a"), 5, "graph.edges[0].a must be a string"),
+    # Only a missing or null graph means the dataset has none.
+    (("graph",), 0, "graph must be an object"),
+    (("graph",), False, "graph must be an object"),
+    (("graph",), "", "graph must be an object"),
+    (("graph",), [], "graph must be an object"),
+    (("graph",), {}, "graph.nodes must be an array"),
 ], ids=["k_squared", "discrepancy", "erratum", "pi1_trivial", "graph_node_q",
         "multiplicity_float", "multiplicity_string", "multiplicity_bool",
         "center_not_a_pair", "degree_float_entry", "degree_bool", "degree_string",
         "after_step_float", "self_int_float", "intersection_bool",
         "nef_curves_int", "nef_curves_string", "nef_curve_int", "parity_override",
         "name", "title", "citation", "fiber_expansion", "cite",
-        "graph_reconstructed", "graph_node_name", "graph_edge_end"])
+        "graph_reconstructed", "graph_node_name", "graph_edge_end",
+        "graph_zero", "graph_false", "graph_empty_string", "graph_empty_array",
+        "graph_empty_object"])
 def test_malformed_recorded_field_exits_2(write_mutant, main_construction, path,
                                           value, message):
     result = run_cli("verify", "--dataset",
@@ -458,9 +466,15 @@ def test_malformed_recorded_field_exits_2(write_mutant, main_construction, path,
     (("errata", "k_squared"), "7", "errata.k_squared"),
     (("expected", "k_sqared"), {"cite": "x", "value": 7}, "expected.k_sqared"),
     (("nef_tset_curves",), ["F1"], "nef_tset_curves"),
+    # A checkpoint carries the keys of its own shape only.
+    (("expectations", 0, "intersection"), 99, "expectations[0].intersection"),
+    # A wrapper carries its cite and one of value and values.
+    (("expected", "k_squared", "valeu"), 99, "expected.k_squared.valeu"),
+    (("expected", "k_squared", "values"), 3, "expected.k_squared.value"),
 ], ids=["top_level", "step", "expectation", "chain", "graph", "graph_node",
         "graph_edge", "expected", "errata", "errata_discrepancies",
-        "errata_k_squared", "expected_typo", "top_level_typo"])
+        "errata_k_squared", "expected_typo", "top_level_typo",
+        "expectation_other_shape", "wrapper_typo", "wrapper_value_and_values"])
 @pytest.mark.parametrize("command", ["verify", "contract", "invariants"])
 def test_an_unknown_key_exits_2_naming_its_path(capsys, write_mutant,
                                                 main_construction, command,
@@ -511,6 +525,22 @@ def test_a_fiber_decomposition_without_base_surface_step_exits_2(
     assert (code, out) == (2, "")
     assert err == (f"error: base_surface_step is missing, but {needs} is "
                    "measured from the base surface\n")
+
+
+@pytest.mark.parametrize("graph", ["missing", "null"])
+@pytest.mark.parametrize("command", ["verify", "contract", "invariants"])
+def test_a_recorded_pi1_trivial_without_graph_exits_2(capsys, tmp_path, main_raw,
+                                                       command, graph):
+    if graph == "missing":
+        del main_raw["graph"]
+    else:
+        main_raw["graph"] = None
+    path = tmp_path / "no_graph.json"
+    path.write_text(json.dumps(main_raw))
+    code, out, err = run_in_process(capsys, command, "--dataset", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: graph is missing, but expected.pi1_trivial is read "
+                   "off its closure\n")
 
 
 @pytest.mark.parametrize("dataset", ["main_k3", "pencil2_k3", "k4"])

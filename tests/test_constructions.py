@@ -210,9 +210,9 @@ def test_recorded_tables_are_faithful_to_the_source(main_construction):
     assert Fraction(main_construction.errata["nef_values"]["E2''"]) == Fraction(4, 35)
 
 
-def test_unreduced_recorded_fractions_still_pass(main_construction):
+def test_unreduced_recorded_fractions_still_pass(main_raw, main_construction):
     # The transcription keeps 30/35 as printed; grading compares exact values.
-    recorded = main_construction.expected["discrepancies"]["C(35,6)"]
+    recorded = main_raw["expected"]["discrepancies"]["values"]["C(35,6)"]
     assert recorded[5] == "30/35"
     report = verify(main_construction)
     assert check_map(report)["discrepancies"].status == "pass"

@@ -158,7 +158,7 @@ def test_run_script_checks_expectations(main_construction):
     script = main_construction.script
     doctored = dataclasses.replace(
         script,
-        expectations=(dataclasses.replace(script.expectations[0], self_int=-3),)
+        expectations=(dataclasses.replace(script.expectations[0], value=-3),)
         + tuple(script.expectations[1:]),
     )
     with pytest.raises(ExpectationError):
@@ -169,8 +169,8 @@ def test_run_script_checks_expectations(main_construction):
 
 def test_run_script_raises_the_earliest_failing_checkpoint(main_construction):
     script = main_construction.script
-    late = dataclasses.replace(script.expectations[43], self_int=0)  # step 30
-    early = dataclasses.replace(script.expectations[0], self_int=0)  # step 9
+    late = dataclasses.replace(script.expectations[43], value=0)  # step 30
+    early = dataclasses.replace(script.expectations[0], value=0)  # step 9
     with pytest.raises(ExpectationError) as info:
         run_script(dataclasses.replace(script, expectations=(late, early)))
     assert info.value.expectation is early
@@ -196,7 +196,7 @@ def test_grading_on_the_finished_model_matches_every_snapshot(fixture, request):
     finished = snapshots[-1]
     kinds = set()
     for exp in script.expectations:
-        names = exp.curves or (exp.curve, exp.curve)
+        names = exp.curves
         for step in range(exp.after_step + 1):
             moved = dataclasses.replace(exp, after_step=step)
             reference = _outcome(lambda: intersect(snapshots[step], *names))

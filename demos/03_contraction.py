@@ -20,6 +20,7 @@ from blowdown import (
     load_construction,
     nef_values,
     pullback_canonical,
+    surviving_curves,
     validate_embedding,
 )
 
@@ -59,6 +60,7 @@ zeroes = sum(1 for name in contracted if intersect(model, pullback, name) == 0)
 print(f"The pullback is orthogonal to {zeroes} of {len(contracted)} contracted curves.")
 print()
 
-print("Nef check against the remaining test curves (all must be >= 0):")
-for name, value in nef_values(model, construction.chains, construction.nef_test_curves):
+print("Nef check against every curve outside the chains (all must be >= 0):")
+for name, value in nef_values(model, construction.chains,
+                              surviving_curves(model, construction.chains)):
     print(f"  pullback . {name:6} = {value}")

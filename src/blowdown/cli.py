@@ -26,7 +26,6 @@ from math import gcd
 from typing import Iterable, Sequence, Union
 
 from . import __version__
-from .contraction import nef_values
 from .constructions import (
     STAGE_ERRORS,
     Replay,
@@ -269,16 +268,12 @@ def _dataset_command(sub, name: str, help_text: str, run, failure: str,
     command.add_argument("--dataset", help=dataset_help)
     command.add_argument("--json", action="store_true")
     command.set_defaults(handler=handler)
-    return command
 
 
 def _cmd_contract(args, replay: Replay) -> int:
     construction, model = replay.construction, replay.model
     chains = list(zip(construction.chains, replay.shapes, replay.discrepancies))
-    nef = nef_values(
-        model, construction.chains, construction.nef_test_curves,
-        replay.pullback,
-    )
+    nef = replay.nef
     k2 = replay.k_squared
     k2_res = model.canonical_self_intersection()
     expansion: Union[list, None] = None
@@ -322,8 +317,6 @@ def _cmd_contract(args, replay: Replay) -> int:
             yield "nef pairings:"
             yield from (f"  pullback . {name} = {value}" for name, value in nef)
 
-    # ``--report json`` is the older spelling of ``--json``.
-    args.json = args.json or args.report == "json"
     return _emit(args, "contract", construction.sha256, result, text())
 
 
@@ -434,12 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--json", action="store_true")
     check.set_defaults(handler=_cmd_tchain_check)
 
-    contract = _dataset_command(
+    _dataset_command(
         sub, "contract", "contract the chains of a construction",
         _cmd_contract, "contraction fails",
-    )
-    contract.add_argument(
-        "--report", choices=("text", "json"), default="text"
     )
     _dataset_command(
         sub, "invariants", "invariants of the blown-down surface",

@@ -34,6 +34,7 @@ from .contraction import (
     expand_in_curves,
     nef_values,
     pullback_canonical,
+    surviving_curves,
 )
 from .lattice import (
     BlowupStep,
@@ -106,10 +107,7 @@ class Construction:
     script: Script
     chains: tuple[ChainEmbedding, ...]
     graph: Union[ConnectionGraph, None]
-    base_surface_step: Union[int, None]
     fiber_expansions: tuple[tuple[str, tuple[str, ...]], ...]
-    nef_test_curves: tuple[str, ...]
-    parity_override: Union[str, None]
     expected: Mapping
     errata: Mapping
     expected_cites: Mapping
@@ -119,9 +117,8 @@ class Construction:
     @property
     def records_fiber_decomposition(self) -> bool:
         """Whether the dataset records what expanding the pullback over
-        curve classes needs: fiber supports (which the reader accepts only
-        with a base surface step), and the ``pullback_fiber_weights`` and
-        ``canonical_relation`` tables."""
+        curve classes needs: fiber supports, and the
+        ``pullback_fiber_weights`` and ``canonical_relation`` tables."""
         return (
             bool(self.fiber_expansions)
             and "pullback_fiber_weights" in self.expected
@@ -150,8 +147,7 @@ def _typed(value, kind: type, path: str):
 #                     only its powers.
 _TOP_KEYS = {
     "name", "title", "citation", "comments", "base_curves", "steps",
-    "expectations", "chains", "graph", "base_surface_step", "fiber_expansions",
-    "nef_test_curves", "parity_override", "expected", "errata",
+    "expectations", "chains", "graph", "fiber_expansions", "expected", "errata",
 }
 _STEP_KEYS = {"name", "at"}
 # A checkpoint is a self-intersection of one curve or a pairing of two.
@@ -446,10 +442,9 @@ def parse_construction(
     """Build a :class:`Construction` from its JSON object form.
 
     Malformed input raises ``ValueError`` naming the offending field, as
-    does a key the format does not define, a ``fiber_expansions`` or
-    ``expected.canonical_relation`` without ``base_surface_step``, or an
-    ``expected.pi1_trivial`` without ``graph``.  Only a missing or ``null``
-    ``graph`` means the dataset has none.
+    does a key the format does not define, or an ``expected.pi1_trivial``
+    without ``graph``.  Only a missing or ``null`` ``graph`` means the
+    dataset has none.
     """
     _object(data, "", _TOP_KEYS)
     _object(data.get("expected", {}), "expected", _RECORDED)
@@ -458,24 +453,11 @@ def parse_construction(
     script = parse_script(data)
     chains = _parse_chains(data.get("chains", []))
     graph = None if data.get("graph") is None else parse_graph(data["graph"])
-    base_step = data.get("base_surface_step")
-    if base_step is not None and not (
-        0 <= _typed(base_step, int, "base_surface_step") <= script.step_count
-    ):
-        raise ValueError(
-            f"base_surface_step must lie between 0 and the script's "
-            f"{script.step_count} steps, got {base_step}"
-        )
     fibers = tuple(
         (name, _strings(support, f"fiber_expansions.{name}"))
         for name, support in data.get("fiber_expansions", {}).items()
     )
-    parity = data.get("parity_override")
     expected, expected_cites = _parse_recorded(data.get("expected", {}))
-    if base_step is None and (fibers or "canonical_relation" in expected):
-        needs = "fiber_expansions" if fibers else "expected.canonical_relation"
-        raise ValueError(f"base_surface_step is missing, but {needs} is "
-                         "measured from the base surface")
     if graph is None and "pi1_trivial" in expected:
         raise ValueError("graph is missing, but expected.pi1_trivial is "
                          "read off its closure")
@@ -486,12 +468,7 @@ def parse_construction(
         script=script,
         chains=chains,
         graph=graph,
-        base_surface_step=base_step,
         fiber_expansions=fibers,
-        nef_test_curves=_strings(data.get("nef_test_curves", []),
-                                 "nef_test_curves"),
-        parity_override=(None if parity is None
-                         else _typed(parity, str, "parity_override")),
         expected=expected,
         errata={
             key: _RECORDED[key](value, f"errata.{key}")
@@ -660,6 +637,11 @@ class _Grade:
 STAGE_ERRORS = (ContractionError, ValueError, KeyError, AssertionError)
 """What a stage of a replay may raise; a check depending on it then fails."""
 
+BASE_SURFACE_STEP = 9
+"""The step of the script that reaches the rational elliptic base surface,
+on which the canonical and fiber relations are measured: after ``s``
+blow-ups of the plane ``K^2 = 9 - s``, and the base has ``K^2 = 0``."""
+
 
 class Replay:
     """One replay of a construction, shared by everything that reads it.
@@ -718,15 +700,24 @@ class Replay:
     def relation(self):
         """``K`` minus the base surface's ``K``, expanded over the recorded
         canonical relation support."""
-        base_k = self.model.canonical_at(self.construction.base_surface_step)
+        base_k = self.model.canonical_at(BASE_SURFACE_STEP)
         support = list(self.construction.expected["canonical_relation"])
         return expand_in_curves(self.model, self.model.canonical - base_k, support)
 
     @cached_property
     def fibers(self):
         """The fiber class, minus the base surface's ``K``, expanded over
-        each recorded fiber support."""
-        fiber_class = -self.model.canonical_at(self.construction.base_surface_step)
+        each recorded fiber support.  Each fiber is named after a curve,
+        and that curve must have the fiber class on the base surface."""
+        fiber_class = -self.model.canonical_at(BASE_SURFACE_STEP)
+        # A blow-up only appends a coordinate, so a curve's class after the
+        # base step is the head of its coordinates.
+        head = BASE_SURFACE_STEP + 1
+        for name, _ in self.construction.fiber_expansions:
+            curve = self.model.curves.get(name)
+            if curve is None or curve.coords[:head] != fiber_class.coords[:head]:
+                raise ValueError(f"fiber {name}: curve {name} is not -K = "
+                                 f"(3, -1, ..., -1) at step {BASE_SURFACE_STEP}")
         return {
             name: expand_in_curves(self.model, fiber_class, list(support))
             for name, support in self.construction.fiber_expansions
@@ -758,15 +749,20 @@ class Replay:
         return coefficients
 
     @cached_property
+    def nef(self):
+        """The pullback paired with every curve that survives the
+        contraction, in the model's order: the test set of ``K`` nef."""
+        chains = self.construction.chains
+        return nef_values(self.model, chains, surviving_curves(self.model, chains),
+                          self.pullback)
+
+    @cached_property
     def summary(self):
         """Invariants of the blown-down surface; whether its fundamental
         group dies is read from :attr:`pi1`."""
         construction = self.construction
         summary = blowdown_invariants(
-            self.model,
-            construction.chains,
-            parity_override=construction.parity_override,
-            k_squared=self.k_squared,
+            self.model, construction.chains, k_squared=self.k_squared
         )
         if construction.graph is None:
             return summary
@@ -820,8 +816,8 @@ def pullback_expansion(
     The support of the full expansion is linearly dependent in the lattice,
     so the coefficients cannot be solved for; they are assembled from the
     three independent contributions instead.  Requires a dataset that
-    records ``base_surface_step``, ``fiber_expansions``, and the
-    ``pullback_fiber_weights`` and ``canonical_relation`` tables.
+    records ``fiber_expansions`` and the ``pullback_fiber_weights`` and
+    ``canonical_relation`` tables.
     """
     return Replay(construction, model).coefficients
 
@@ -895,12 +891,19 @@ def _discrepancy_check(replay: Replay, grade: _Grade):
 
 
 def _adjunction_check(replay: Replay, grade: _Grade):
+    """``K . G = b - 2`` on every chain curve, and a nonnegative arithmetic
+    genus ``p_a = 1 + (C^2 + K . C)/2`` on every other named curve."""
     model, chains = replay.model, replay.construction.chains
+    k_dot = {name: model.intersect(model.canonical, name) for name in model.curves}
     violations = [
-        f"{emb.label}: K . {name} = {pairing}, expected {b - 2}"
+        f"{emb.label}: K . {name} = {k_dot[name]}, expected {b - 2}"
         for emb, bs in zip(chains, replay.shapes)
         for name, b in zip(emb.curves, bs)
-        if (pairing := model.intersect(model.canonical, name)) != b - 2
+        if k_dot[name] != b - 2
+    ] + [
+        f"{name}: p_a = {p_a} < 0, which no irreducible curve has"
+        for name in surviving_curves(model, chains)
+        if (p_a := 1 + (model.self_intersection(name) + k_dot[name]) // 2) < 0
     ]
     if violations:
         grade.fail("adjunction violated", *violations)
@@ -979,8 +982,7 @@ def _pullback_expansion_check(replay: Replay, grade: _Grade):
 def _nef_check(replay: Replay, grade: _Grade):
     construction = replay.construction
     recorded = construction.expected
-    values = nef_values(replay.model, construction.chains,
-                        construction.nef_test_curves, replay.pullback)
+    values = replay.nef
     computed = dict(values)
     negative = [(name, value) for name, value in values if value < 0]
     grade.note(f"pullback pairs nonnegatively with {len(values) - len(negative)} "

@@ -33,6 +33,7 @@ __all__ = [
     "check_artin",
     "pullback_canonical",
     "contracted_k_squared",
+    "surviving_curves",
     "nef_values",
     "expand_in_curves",
 ]
@@ -240,6 +241,15 @@ def contracted_k_squared(
     """Canonical self-intersection of the contracted surface."""
     pullback = pullback_canonical(model, embeddings)
     return pullback.dot(pullback)
+
+
+def surviving_curves(
+    model: SurfaceModel, embeddings: Sequence[ChainEmbedding]
+) -> tuple[str, ...]:
+    """The named curves outside every chain, in the model's order: those
+    whose images survive the contraction."""
+    contracted = {name for emb in embeddings for name in emb.curves}
+    return tuple(name for name in model.curves if name not in contracted)
 
 
 def nef_values(

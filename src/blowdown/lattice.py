@@ -186,8 +186,12 @@ class SurfaceModel:
         """The canonical class after ``step`` blow-ups, pulled back here.
 
         Every blow-up adds its exceptional class to the canonical class, so
-        this is ``-3h + e_1 + ... + e_step`` and needs no replay.
+        this is ``-3h + e_1 + ... + e_step`` and needs no replay.  A step
+        outside ``0..blowup_count`` raises ``ValueError``.
         """
+        if not 0 <= step <= self.blowup_count:
+            raise ValueError(f"step {step} lies outside 0..blowup_count "
+                             f"= 0..{self.blowup_count}")
         return DivisorClass(
             (-3,) + (1,) * step + (0,) * (self.blowup_count - step)
         )

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence, Union
 
-from .contraction import ChainEmbedding, pullback_canonical
+from .contraction import ChainEmbedding, pullback_canonical, surviving_curves
 from .lattice import Rational, SurfaceModel
 
 __all__ = [
@@ -220,7 +220,6 @@ def _parity(
     signature: int,
     b2_plus: int,
     b2_minus: int,
-    override: Union[str, None],
 ) -> tuple[str, str]:
     """Decide whether the surgered intersection form is odd.
 
@@ -228,20 +227,15 @@ def _parity(
     curve whose image therefore survives, with odd self-intersection.  If no
     witness is named, fall back to the signature: an even indefinite
     unimodular form has signature divisible by 8, so a signature that is not
-    forces the form to be odd.  An explicit override wins over both rules.
+    forces the form to be odd.
     """
-    if override is not None:
-        return override, "recorded in the construction data"
-    contracted = {name for emb in embeddings for name in emb.curves}
-    for name in model.curves:
-        if name in contracted:
-            continue
+    for name in surviving_curves(model, embeddings):
         self_int = model.self_intersection(name)
         if self_int % 2 == 0:
             continue
         if all(
             model.intersect(name, other) == 0
-            for other in contracted
+            for emb in embeddings for other in emb.curves
         ):
             return (
                 "odd",
@@ -261,7 +255,6 @@ def blowdown_invariants(
     model: SurfaceModel,
     embeddings: Sequence[ChainEmbedding],
     graph: Union[ConnectionGraph, None] = None,
-    parity_override: Union[str, None] = None,
     k_squared: Union[Rational, None] = None,
 ) -> SurfaceSummary:
     """Invariants of the surface after rationally blowing down the chains.
@@ -303,9 +296,7 @@ def blowdown_invariants(
     pi1_trivial: Union[bool, None] = None
     if graph is not None:
         pi1_trivial = pi1_closure(graph).trivial
-    parity, parity_reason = _parity(
-        model, embeddings, signature, b2_plus, b2_minus, parity_override
-    )
+    parity, parity_reason = _parity(model, embeddings, signature, b2_plus, b2_minus)
     return SurfaceSummary(
         k_squared=k_squared,
         euler=euler,

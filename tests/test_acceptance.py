@@ -236,7 +236,6 @@ def test_criterion_5_invariants():
             model,
             construction.chains,
             graph=construction.graph,
-            parity_override=construction.parity_override,
         )
         assert summary.k_squared == k_squared
         assert summary.euler == euler

@@ -17,6 +17,7 @@ from blowdown import (
     k_squared_gain,
     nef_values,
     pullback_canonical,
+    surviving_curves,
     validate_embedding,
 )
 
@@ -163,9 +164,8 @@ def test_pullback_decomposes_with_discrepancy_coefficients(
 
 
 def test_nef_values_frozen(main_construction, main_model):
-    values = dict(
-        nef_values(main_model, main_construction.chains, main_construction.nef_test_curves)
-    )
+    chains = main_construction.chains
+    values = dict(nef_values(main_model, chains, surviving_curves(main_model, chains)))
     assert values["E3"] == Fraction(79, 665)
     assert values["E4"] == Fraction(33, 70)
     assert values["E1'"] == Fraction(411, 665)

@@ -84,6 +84,15 @@ def test_blow_up_rejections():
         blow_up(m, [("L", 1)], "L")
 
 
+@pytest.mark.parametrize("step", [-1, 2])
+def test_canonical_at_rejects_a_step_outside_the_script(step):
+    m = blow_up(new_plane({"L": 1}), [("L", 1)], "e1")
+    assert m.canonical_at(1) == m.canonical
+    with pytest.raises(ValueError, match=rf"step {step} lies outside "
+                                         r"0\.\.blowup_count = 0\.\.1"):
+        m.canonical_at(step)
+
+
 def test_models_are_immutable():
     m = new_plane({"L": 1})
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -170,7 +170,7 @@ def test_contracted_k_squared_is_computed_once(monkeypatch, main_construction):
 
     monkeypatch.setattr(lattice.DivisorClass, "dot", counted)
     assert replay.verify().ok
-    args = argparse.Namespace(json=True, report="text")
+    args = argparse.Namespace(json=True)
     with redirect_stdout(io.StringIO()):
         assert cli._cmd_contract(args, replay) == 0
         assert cli._cmd_invariants(args, replay) == 0
@@ -228,6 +228,25 @@ def test_residual_pi1_fails_with_citation(dataset, edge, write_mutant, request):
         assert source in checks[name]["details"]
     assert any("fingerprint: computed None" in d
                for d in checks["invariants"]["details"])
+
+
+# The nef test curves each dataset recorded before the set was derived.
+RECORDED_NEF_CURVES = {
+    "main_k3": {"E3", "E4", "E1'", "E2'", "E4'", "E1''", "E2''", "E2'''", "E1",
+                "E2", "B", "e1", "e6"},
+    "pencil2_k3": {"B", "C", "L1", "e1'", "e3", "e4''", "N1", "N2", "x1", "x2",
+                   "x3", "x4", "x6", "x7", "x8"},
+    "k4": {"e6", "e9", "N1", "N2", "b1", "b5", "c1", "c2", "c3", "d3", "g2", "h2"},
+}
+
+
+@pytest.mark.parametrize("dataset", DATASETS)
+def test_nef_test_set_is_every_curve_outside_the_chains(dataset, request):
+    construction = request.getfixturevalue(f"{dataset.split('_')[0]}_construction")
+    replay = Replay(construction)
+    names = [name for name, _ in replay.nef]
+    assert set(names) == RECORDED_NEF_CURVES[dataset]
+    assert names == [name for name in replay.model.curves if name in set(names)]
 
 
 def test_zero_on_contracted_is_graded(main_raw, main_construction):

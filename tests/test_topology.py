@@ -214,17 +214,6 @@ def test_blowdown_invariants_k4(k4_construction, k4_model):
     assert summary.fingerprint == "P2 # 5 P2bar"
 
 
-def test_parity_override_is_reported(main_construction, main_model):
-    summary = blowdown_invariants(
-        main_model,
-        main_construction.chains,
-        graph=main_construction.graph,
-        parity_override="odd",
-    )
-    assert summary.parity == "odd"
-    assert summary.parity_reason == "recorded in the construction data"
-
-
 def test_fingerprint_requires_trivial_pi1(main_construction, main_model):
     summary = blowdown_invariants(
         main_model, main_construction.chains, graph=main_construction.graph

@@ -11,30 +11,20 @@ its square is the K^2 of the blown-down surface.
 Run:  python3 demos/03_contraction.py
 """
 
-from blowdown import (
-    build_model,
-    chain_discrepancies,
-    check_artin,
-    contracted_k_squared,
-    intersect,
-    load_construction,
-    nef_values,
-    pullback_canonical,
-    surviving_curves,
-    validate_embedding,
-)
+from blowdown import Replay, intersect, load_construction
 
 construction = load_construction("main_k3")
-model = build_model(construction)
+# One replay: the script runs once and each stage is computed once, on use.
+replay = Replay(construction)
+model = replay.model
 
-print("Each recorded chain is validated curve by curve against its fraction:")
-for emb in construction.chains:
-    shape = validate_embedding(model, emb)
+print("Each recorded chain is read curve by curve and matched to its fraction:")
+for emb, shape in zip(construction.chains, replay.shapes):
     print(f"  {emb.label}: {list(shape)} on {list(emb.curves)}")
 print()
 
 print("Negative definiteness comes with an explicit minor certificate:")
-cert = check_artin(model, construction.chains)
+cert = replay.artin
 for chain_cert in cert.chains:
     minors = ", ".join(str(m) for m in chain_cert.minors)
     print(f"  {chain_cert.label}: minors {minors}")
@@ -42,14 +32,13 @@ print(f"  cross-chain intersections: {len(cert.cross_violations)} violations")
 print()
 
 print("Discrepancies (the canonical correction per contracted curve):")
-for emb in construction.chains:
-    ds = chain_discrepancies(validate_embedding(model, emb))
+for emb, ds in zip(construction.chains, replay.discrepancies):
     print(f"  {emb.label}: {', '.join(str(d) for d in ds)}")
 print()
 
-pullback = pullback_canonical(model, construction.chains)
+pullback = replay.pullback
 k2_before = intersect(model, model.canonical, model.canonical)
-k2_after = contracted_k_squared(model, construction.chains)
+k2_after = replay.k_squared
 print(f"K^2 of the resolution: {k2_before}")
 print(f"K^2 after contracting all 24 curves: {k2_after}")
 print(f"pullback . pullback = {intersect(model, pullback, pullback)} (the same number)")
@@ -61,6 +50,5 @@ print(f"The pullback is orthogonal to {zeroes} of {len(contracted)} contracted c
 print()
 
 print("Nef check against every curve outside the chains (all must be >= 0):")
-for name, value in nef_values(model, construction.chains,
-                              surviving_curves(model, construction.chains)):
+for name, value in replay.nef:
     print(f"  pullback . {name:6} = {value}")

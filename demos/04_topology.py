@@ -11,18 +11,18 @@ Run:  python3 demos/04_topology.py
 """
 
 from blowdown import (
-    blowdown_invariants,
-    build_model,
+    Replay,
+    chain_determinant,
     hj_expand,
     load_construction,
     meridian_powers,
     pi1_closure,
-    rational_ball_invariants,
 )
 
-print("The ball bounded by the C(7,1) lens space:")
-ball = rational_ball_invariants(7, 1)
-print(f"  euler = {ball.euler}, signature = {ball.signature}, |H1| = {ball.h1_order}")
+print("The C(7,1) chain, whose neighbourhood bounds the lens space L(49, 6):")
+chain = hj_expand(49, 6)
+print(f"  chain {chain}, determinant {chain_determinant(chain)} = |pi1 L(49, 6)|")
+print("  the rational ball glued in its place has euler = 1, signature = 0, |H1| = 7")
 print()
 
 print("Meridian exponents along the C(7,1) chain (generator at the last curve):")
@@ -52,10 +52,7 @@ for line in control.describe():
     print(f"  {line}")
 print()
 
-model = build_model(construction)
-summary = blowdown_invariants(
-    model, construction.chains, graph=construction.graph
-)
+summary = Replay(construction).summary
 print("Invariants of the blown-down surface:")
 print(f"  K^2 = {summary.k_squared}, e = {summary.euler}, signature = {summary.signature}")
 print(f"  b2+ = {summary.b2_plus}, b2- = {summary.b2_minus}, chi = {summary.chi}")

@@ -32,6 +32,7 @@ from .constructions import (
     available_constructions,
     load_construction,
     load_graph,
+    stage_message,
 )
 from .tchains import (  # noqa: F401  (re-exports MAX_CHAIN_LENGTH)
     MAX_CHAIN_LENGTH,
@@ -260,7 +261,7 @@ def _dataset_command(sub, name: str, help_text: str, run, failure: str,
         try:
             return run(args, loaded)
         except STAGE_ERRORS as exc:
-            raise _Exit(f"{failure}: {exc}", 1)
+            raise _Exit(f"{failure}: {stage_message(exc)}", 1)
 
     command = sub.add_parser(name, help=help_text)
     command.add_argument("construction", nargs="?", metavar=metavar,

@@ -21,7 +21,7 @@ import hashlib
 import json
 import os
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -32,7 +32,6 @@ from .contraction import (
     ContractionError,
     check_artin,
     expand_in_curves,
-    nef_values,
     pullback_canonical,
     surviving_curves,
 )
@@ -56,6 +55,7 @@ from .topology import (
 
 __all__ = [
     "DATA_ENV",
+    "MAX_CURVES",
     "STAGE_ERRORS",
     "Construction",
     "CheckResult",
@@ -70,11 +70,17 @@ __all__ = [
     "load_construction",
     "load_graph",
     "build_model",
-    "pullback_expansion",
     "verify",
 ]
 
 DATA_ENV = "BLOWDOWN_DATA_DIR"
+
+MAX_CURVES = 500
+"""Most named curves a script may make, its base curves and steps
+together.  Every model holds the pairing of each ordered pair of named
+curves and each blow-up copies it, so the time of a replay grows about as
+the cube of this count: ``invariants`` on 500 curves peaks at about 70 MiB
+and takes about 2 s (Python 3.11, 2-vCPU Xeon)."""
 
 
 def data_dir() -> Path:
@@ -244,18 +250,24 @@ def parse_script(data: Mapping) -> Script:
 
     Degrees, multiplicities and ``after_step`` must be JSON integers, and a
     checkpoint value an integer or a fraction string ``"p/q"``; anything
-    else raises ``ValueError`` naming the field path.
+    else, or more than :data:`MAX_CURVES` base curves and steps, raises
+    ``ValueError`` naming the field path.
     """
     for key in ("base_curves", "steps"):
         if key not in data:
             raise ValueError(f"script is missing the {key!r} key")
-    base = tuple(
-        (name, _base_degree(name, deg))
-        for name, deg in _typed(data["base_curves"], Mapping, "base_curves").items()
-    )
+    raw_base = _typed(data["base_curves"], Mapping, "base_curves")
+    if len(raw_base) > MAX_CURVES:
+        raise ValueError(f"base_curves names {len(raw_base)} curves, more "
+                         f"than {MAX_CURVES}")
+    base = tuple((name, _base_degree(name, deg)) for name, deg in raw_base.items())
+    raw_steps = _typed(data["steps"], list, "steps")
+    total = len(base) + len(raw_steps)
+    if total > MAX_CURVES:
+        raise ValueError(f"steps bring the named curves to {total}, more than "
+                         f"{MAX_CURVES}")
     raw_steps = [
-        _object(raw, f"steps[{i}]", _STEP_KEYS)
-        for i, raw in enumerate(_typed(data["steps"], list, "steps"))
+        _object(raw, f"steps[{i}]", _STEP_KEYS) for i, raw in enumerate(raw_steps)
     ]
     used = {name for name, _ in base}
     used.update(
@@ -526,8 +538,8 @@ def load_graph(source: Union[str, Path]) -> tuple[ConnectionGraph, str]:
 
 
 def build_model(construction: Construction) -> SurfaceModel:
-    """Replay the blow-up script without stopping at checkpoints."""
-    return run_script(construction.script, check=False)
+    """Replay the blow-up script; its checkpoints are graded apart."""
+    return run_script(construction.script)
 
 
 @dataclass(frozen=True)
@@ -637,6 +649,15 @@ class _Grade:
 STAGE_ERRORS = (ContractionError, ValueError, KeyError, AssertionError)
 """What a stage of a replay may raise; a check depending on it then fails."""
 
+
+def stage_message(exc: Exception) -> str:
+    """The message of a stage error.  ``str`` of a ``KeyError`` is the repr
+    of its argument, quotes and all, so its argument is printed instead."""
+    if isinstance(exc, KeyError) and len(exc.args) == 1:
+        return str(exc.args[0])
+    return str(exc)
+
+
 BASE_SURFACE_STEP = 9
 """The step of the script that reaches the rational elliptic base surface,
 on which the canonical and fiber relations are measured: after ``s``
@@ -646,19 +667,17 @@ blow-ups of the plane ``K^2 = 9 - s``, and the base has ``K^2 = 0``."""
 class Replay:
     """One replay of a construction, shared by everything that reads it.
 
-    The blow-up script runs once, unless a finished ``model`` is passed in.
-    Each later stage, the recorded checkpoints too, is computed on first
-    use from the finished model and kept for the life of the object, which
-    is a single command.  A stage that raises is not kept: it raises the
-    same exception again at the next use, so every check that depends on
-    it fails with the same message.
+    The blow-up script runs once.  Each later stage, the recorded
+    checkpoints too, is computed on first use from the finished model and
+    kept for the life of the object, which is a single command.  A stage
+    that raises is not kept: it raises the same exception again at the
+    next use, so every check that depends on it fails with the same
+    message.
     """
 
-    def __init__(
-        self, construction: Construction, model: Union[SurfaceModel, None] = None
-    ) -> None:
+    def __init__(self, construction: Construction) -> None:
         self.construction = construction
-        self.model = build_model(construction) if model is None else model
+        self.model = build_model(construction)
 
     @cached_property
     def checkpoints(self):
@@ -725,7 +744,16 @@ class Replay:
 
     @cached_property
     def coefficients(self):
-        """See :func:`pullback_expansion`."""
+        """Per-curve coefficients of the contraction pullback of the
+        canonical class, assembled from the recorded fiber decomposition,
+        the canonical relation support, and the chain discrepancies.
+
+        The support of the full expansion is linearly dependent in the
+        lattice, so the coefficients cannot be solved for; they are
+        assembled from the three independent contributions instead.
+        Requires a dataset that records ``fiber_expansions`` and the
+        ``pullback_fiber_weights`` and ``canonical_relation`` tables.
+        """
         construction = self.construction
         if not construction.records_fiber_decomposition:
             raise ValueError(
@@ -752,21 +780,19 @@ class Replay:
     def nef(self):
         """The pullback paired with every curve that survives the
         contraction, in the model's order: the test set of ``K`` nef."""
-        chains = self.construction.chains
-        return nef_values(self.model, chains, surviving_curves(self.model, chains),
-                          self.pullback)
+        model, pullback = self.model, self.pullback
+        return [(name, pullback.dot(model.curve(name)))
+                for name in surviving_curves(model, self.construction.chains)]
 
     @cached_property
     def summary(self):
         """Invariants of the blown-down surface; whether its fundamental
         group dies is read from :attr:`pi1`."""
         construction = self.construction
-        summary = blowdown_invariants(
-            self.model, construction.chains, k_squared=self.k_squared
+        return blowdown_invariants(
+            self.model, construction.chains, self.k_squared,
+            None if construction.graph is None else self.pi1.trivial,
         )
-        if construction.graph is None:
-            return summary
-        return replace(summary, pi1_trivial=self.pi1.trivial)
 
     @cached_property
     def pi1(self):
@@ -796,7 +822,7 @@ class Replay:
             check(self, grade)
         except STAGE_ERRORS as exc:
             grade = _Grade()
-            grade.fail(str(exc))
+            grade.fail(stage_message(exc))
         cite = construction.expected_cites.get(cite_key, "") if cite_key else ""
         if grade.status != "pass" and cite:
             grade.note(f"recorded at: {cite}")
@@ -804,22 +830,6 @@ class Replay:
             grade.note(f"source: {construction.citation}")
         return CheckResult(name=name, status=grade.status,
                            details=tuple(grade.details))
-
-
-def pullback_expansion(
-    construction: Construction, model: SurfaceModel
-) -> dict[str, Fraction]:
-    """Per-curve coefficients of the contraction pullback of the canonical
-    class, assembled from the recorded fiber decomposition, the canonical
-    relation support, and the chain discrepancies.
-
-    The support of the full expansion is linearly dependent in the lattice,
-    so the coefficients cannot be solved for; they are assembled from the
-    three independent contributions instead.  Requires a dataset that
-    records ``fiber_expansions`` and the ``pullback_fiber_weights`` and
-    ``canonical_relation`` tables.
-    """
-    return Replay(construction, model).coefficients
 
 
 def verify(construction: Construction) -> VerifyReport:

@@ -20,7 +20,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Sequence, Union
 
-from .lattice import DivisorClass, Rational, SurfaceModel
+from .lattice import DivisorClass, SurfaceModel
 from .tchains import chain_discrepancies, continuants, wahl_chain
 
 __all__ = [
@@ -29,12 +29,9 @@ __all__ = [
     "ChainCertificate",
     "ArtinCertificate",
     "chain_shape",
-    "validate_embedding",
     "check_artin",
     "pullback_canonical",
-    "contracted_k_squared",
     "surviving_curves",
-    "nef_values",
     "expand_in_curves",
 ]
 
@@ -48,8 +45,8 @@ class ChainEmbedding:
     """A chain of named curves meant to contract to a ``p/q`` point.
 
     ``curves`` lists the chain in order; the model determines the actual
-    self-intersections, which :func:`validate_embedding` compares against
-    the continued fraction of ``p^2/(pq - 1)``.
+    self-intersections, which :meth:`match` compares against the continued
+    fraction of ``p^2/(pq - 1)``.
     """
 
     p: int
@@ -94,38 +91,6 @@ def chain_shape(model: SurfaceModel, curves: Sequence[str]) -> tuple[int, ...]:
     return tuple(bs)
 
 
-def _tridiagonal_shape(
-    model: SurfaceModel, label: str, names: Sequence[str]
-) -> tuple[int, ...]:
-    """The shape of distinct curves that meet in a chain, consecutive ones
-    once and the others not at all."""
-    if len(set(names)) != len(names):
-        raise ContractionError(f"{label}: repeated curve in chain {tuple(names)}")
-    bs = chain_shape(model, names)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            value = model.intersect(names[i], names[j])
-            expected = 1 if j == i + 1 else 0
-            if value != expected:
-                raise ContractionError(
-                    f"{label}: {names[i]} . {names[j]} = {value}, "
-                    f"expected {expected}"
-                )
-    return bs
-
-
-def validate_embedding(
-    model: SurfaceModel, emb: ChainEmbedding
-) -> tuple[int, ...]:
-    """Check a chain embedding curve by curve and return its shape.
-
-    Verifies that the curves are distinct, consecutive ones meet once,
-    non-consecutive ones are disjoint, and the shape matches the continued
-    fraction of ``p^2/(pq - 1)`` (see :meth:`ChainEmbedding.match`).
-    """
-    return emb.match(_tridiagonal_shape(model, emb.label, emb.curves))
-
-
 @dataclass(frozen=True)
 class ChainCertificate:
     label: str
@@ -157,16 +122,31 @@ def check_artin(
 ) -> ArtinCertificate:
     """Certify that the chains contract: each negative definite, all disjoint.
 
-    For each chain the leading principal minors ``m_1, ..., m_k`` of its
-    intersection matrix must satisfy ``(-1)^j m_j > 0``, and the full
-    determinant must be ``(-1)^k p^2``.  The matrix of a chain is
-    tridiagonal, so ``m_j`` is ``(-1)^j`` times the j-th continuant of its
-    shape.  Distinct chains must not meet.  The shape each certificate
-    records is read off the model without the recorded ``(p, q)``.
+    Each chain is read off the model once, without its recorded ``(p, q)``:
+    its curves must be distinct, consecutive ones meeting once and the
+    others not at all, or a ``ContractionError`` is raised.  For each chain
+    the leading principal minors ``m_1, ..., m_k`` of its intersection
+    matrix must satisfy ``(-1)^j m_j > 0``, and the full determinant must
+    be ``(-1)^k p^2``.  The matrix of a chain is tridiagonal, so ``m_j`` is
+    ``(-1)^j`` times the j-th continuant of its shape.  Distinct chains
+    must not meet.
     """
     certificates = []
     for emb in embeddings:
-        bs = _tridiagonal_shape(model, emb.label, emb.curves)
+        names = emb.curves
+        if len(set(names)) != len(names):
+            raise ContractionError(
+                f"{emb.label}: repeated curve in chain {tuple(names)}")
+        bs = chain_shape(model, names)
+        for i in range(len(names)):
+            for j in range(i + 1, len(names)):
+                value = model.intersect(names[i], names[j])
+                expected = 1 if j == i + 1 else 0
+                if value != expected:
+                    raise ContractionError(
+                        f"{emb.label}: {names[i]} . {names[j]} = {value}, "
+                        f"expected {expected}"
+                    )
         qs = continuants(bs)
         minors = tuple((-1) ** j * q for j, q in enumerate(qs, start=1))
         certificates.append(
@@ -186,15 +166,8 @@ def check_artin(
                 for b in embeddings[j].curves:
                     value = model.intersect(a, b)
                     if value != 0:
-                        violations.append(
-                            (
-                                embeddings[i].label,
-                                a,
-                                embeddings[j].label,
-                                b,
-                                value,
-                            )
-                        )
+                        violations.append((embeddings[i].label, a,
+                                           embeddings[j].label, b, value))
     return ArtinCertificate(
         chains=tuple(certificates), cross_violations=tuple(violations)
     )
@@ -203,20 +176,19 @@ def check_artin(
 def pullback_canonical(
     model: SurfaceModel,
     embeddings: Sequence[ChainEmbedding],
-    shapes: Union[Sequence[tuple[int, ...]], None] = None,
+    shapes: Sequence[tuple[int, ...]],
 ) -> DivisorClass:
     """The pullback of the contracted surface's canonical class.
 
-    Computes ``K + sum of d_i G_i`` over every chain, after validating each
-    embedding (or taking its validated shape from ``shapes``).  The sum is
+    Computes ``K + sum of d_i G_i`` over every chain, from each chain's
+    shape as read off the model and matched to its ``(p, q)``.  The sum is
     taken in integers over the common denominator of the discrepancies.
     Orthogonality to every contracted curve defines the pullback and is
     asserted; it fails when adjunction ``K . G_i = b_i - 2``, which the
     discrepancies assume, fails on a chain curve, or when two chains meet.
     """
     terms = []
-    for index, emb in enumerate(embeddings):
-        bs = validate_embedding(model, emb) if shapes is None else shapes[index]
+    for emb, bs in zip(embeddings, shapes):
         terms.extend(zip(emb.curves, chain_discrepancies(bs)))
     den = lcm(*(d.denominator for _, d in terms))
     coords = [den * c for c in model.canonical.coords]
@@ -235,14 +207,6 @@ def pullback_canonical(
     return total
 
 
-def contracted_k_squared(
-    model: SurfaceModel, embeddings: Sequence[ChainEmbedding]
-) -> Rational:
-    """Canonical self-intersection of the contracted surface."""
-    pullback = pullback_canonical(model, embeddings)
-    return pullback.dot(pullback)
-
-
 def surviving_curves(
     model: SurfaceModel, embeddings: Sequence[ChainEmbedding]
 ) -> tuple[str, ...]:
@@ -250,18 +214,6 @@ def surviving_curves(
     whose images survive the contraction."""
     contracted = {name for emb in embeddings for name in emb.curves}
     return tuple(name for name in model.curves if name not in contracted)
-
-
-def nef_values(
-    model: SurfaceModel,
-    embeddings: Sequence[ChainEmbedding],
-    names: Sequence[str],
-    pullback: Union[DivisorClass, None] = None,
-) -> list[tuple[str, Rational]]:
-    """Pair the pullback canonical class against named test curves."""
-    if pullback is None:
-        pullback = pullback_canonical(model, embeddings)
-    return [(name, pullback.dot(model.curve(name))) for name in names]
 
 
 def expand_in_curves(

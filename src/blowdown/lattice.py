@@ -33,7 +33,6 @@ __all__ = [
     "BlowupStep",
     "SurfaceModel",
     "Expectation",
-    "ExpectationError",
     "Script",
     "new_plane",
     "blow_up",
@@ -41,7 +40,6 @@ __all__ = [
     "iter_models",
     "grade_checkpoints",
     "run_script",
-    "check_expectations",
 ]
 
 
@@ -278,15 +276,6 @@ def intersect(
     return model.intersect(a, b)
 
 
-class ExpectationError(AssertionError):
-    """A recorded intersection number disagrees with the computed one."""
-
-    def __init__(self, expectation: "Expectation", actual: Rational) -> None:
-        self.expectation = expectation
-        self.actual = actual
-        super().__init__(expectation.mismatch(actual))
-
-
 @dataclass(frozen=True)
 class Expectation:
     """A recorded intersection number tied to a point in the blow-up script:
@@ -359,25 +348,9 @@ def grade_checkpoints(
         yield exp.grade(model)
 
 
-def run_script(script: Script, *, check: bool = True) -> SurfaceModel:
-    """Execute every blow-up; optionally verify each recorded checkpoint.
-
-    With ``check`` set, the checkpoints are graded on the finished surface
-    and the first failing one in ``after_step`` order raises
-    :class:`ExpectationError` naming the step, the curves, both values, and
-    the recorded citation.
-    """
+def run_script(script: Script) -> SurfaceModel:
+    """Execute every blow-up and return the finished surface, on which
+    :func:`grade_checkpoints` grades the recorded checkpoints."""
     for _, model in iter_models(script):
         pass
-    if check:
-        for exp, actual, ok in grade_checkpoints(script, model):
-            if not ok:
-                raise ExpectationError(exp, actual)
     return model
-
-
-def check_expectations(
-    script: Script,
-) -> list[tuple[Expectation, Rational, bool]]:
-    """Evaluate every checkpoint, collecting results instead of raising."""
-    return list(grade_checkpoints(script, run_script(script, check=False)))

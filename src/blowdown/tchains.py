@@ -31,8 +31,9 @@ from math import gcd, isqrt
 from typing import Iterator, Sequence
 
 MAX_CHAIN_LENGTH = 1000
-"""Longest chain of ``p^2/(pq - 1)`` that :func:`wahl_chain` expands; the
-chain's length grows like ``p/q``."""
+"""Longest chain of ``p^2/(pq - 1)`` that :func:`wahl_chain` expands (the
+chain's length grows like ``p/q``), and longest chain that
+:func:`classify_chain` reduces."""
 
 __all__ = [
     "MAX_CHAIN_LENGTH",
@@ -233,9 +234,15 @@ def classify_chain(bs: Sequence[int]) -> ClassTResult:
 
     A derived chain always has exactly one end equal to 2 (the last move
     put it there), so the reduction step is forced at each stage and the
-    derivation found is the unique one.
+    derivation found is the unique one.  Each step copies the chain, so a
+    chain of more than :data:`MAX_CHAIN_LENGTH` entries raises
+    ``ValueError``.  Below that bound each move at most doubles ``n``, so
+    ``n`` stays under ``2^1000`` and ``d`` at most 1000.
     """
     chain = _validate_chain(bs)
+    if len(chain) > MAX_CHAIN_LENGTH:
+        raise ValueError(f"the chain has {len(chain)} entries, more than "
+                         f"{MAX_CHAIN_LENGTH}")
     if all(b == 2 for b in chain):
         return ClassTResult(kind="rdp", chain=chain)
     cur = chain

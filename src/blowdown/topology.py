@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence, Union
 
-from .contraction import ChainEmbedding, pullback_canonical, surviving_curves
+from .contraction import ChainEmbedding, surviving_curves
 from .lattice import Rational, SurfaceModel
 
 __all__ = [
@@ -33,8 +33,6 @@ __all__ = [
     "ClosureStep",
     "Pi1Result",
     "pi1_closure",
-    "RationalBall",
-    "rational_ball_invariants",
     "SurfaceSummary",
     "blowdown_invariants",
     "fingerprint",
@@ -177,24 +175,6 @@ def pi1_closure(graph: ConnectionGraph) -> Pi1Result:
 
 
 @dataclass(frozen=True)
-class RationalBall:
-    """Invariants of the rational homology ball glued in for one chain."""
-
-    p: int
-    q: int
-    euler: int
-    signature: int
-    h1_order: int
-
-
-def rational_ball_invariants(p: int, q: int) -> RationalBall:
-    """The ball bounding L(p^2, pq-1): contractible homologically over Q."""
-    if gcd(p, q) != 1 or not 0 < q < p:
-        raise ValueError(f"need coprime 0 < q < p, got p={p}, q={q}")
-    return RationalBall(p=p, q=q, euler=1, signature=0, h1_order=p)
-
-
-@dataclass(frozen=True)
 class SurfaceSummary:
     """Numerical record of the surgered surface."""
 
@@ -254,24 +234,20 @@ def _parity(
 def blowdown_invariants(
     model: SurfaceModel,
     embeddings: Sequence[ChainEmbedding],
-    graph: Union[ConnectionGraph, None] = None,
-    k_squared: Union[Rational, None] = None,
+    k_squared: Rational,
+    pi1_trivial: Union[bool, None],
 ) -> SurfaceSummary:
     """Invariants of the surface after rationally blowing down the chains.
 
     Each chain neighbourhood (Euler characteristic ``k + 1``, signature
     ``-k``) is traded for a rational ball (Euler characteristic 1,
     signature 0), so the Euler characteristic drops by ``k`` per chain and
-    the signature rises by ``k``.  The canonical self-intersection is the
-    square of the contraction pullback, which is built here unless
-    ``k_squared`` passes that square in.  Holomorphic invariants follow from the signature theorem
-    and are cross-checked against the Noether relation.
+    the signature rises by ``k``.  ``k_squared`` is the square of the
+    contraction pullback, and ``pi1_trivial`` the verdict of the closure
+    (``None`` without a connection graph).  Holomorphic invariants follow
+    from the signature theorem and are cross-checked against the Noether
+    relation.
     """
-    if k_squared is None:
-        pullback = pullback_canonical(model, embeddings)
-        k_squared = pullback.dot(pullback)
-    for emb in embeddings:
-        rational_ball_invariants(emb.p, emb.q)
     total_length = sum(len(emb.curves) for emb in embeddings)
     euler = 3 + model.blowup_count - total_length
     signature = (1 - model.blowup_count) + total_length
@@ -293,9 +269,6 @@ def blowdown_invariants(
         )
     chi = (euler + signature) // 4
     noether_ok = k_squared + euler == 12 * chi
-    pi1_trivial: Union[bool, None] = None
-    if graph is not None:
-        pi1_trivial = pi1_closure(graph).trivial
     parity, parity_reason = _parity(model, embeddings, signature, b2_plus, b2_minus)
     return SurfaceSummary(
         k_squared=k_squared,

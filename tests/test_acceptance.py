@@ -24,8 +24,7 @@ from math import gcd, isqrt
 import pytest
 
 from blowdown import (
-    blowdown_invariants,
-    build_model,
+    Replay,
     chain_discrepancies,
     classify_chain,
     general_params,
@@ -35,13 +34,9 @@ from blowdown import (
     chain_determinant,
     intersect,
     load_construction,
-    nef_values,
     parse_construction,
     parse_graph,
     pi1_closure,
-    pullback_canonical,
-    pullback_expansion,
-    validate_embedding,
     verify,
     wahl_params,
 )
@@ -130,10 +125,9 @@ def test_criterion_1_printed_chains():
 
 def test_criterion_2_canonical_relation_coefficients():
     construction = load_construction("main_k3")
-    model = build_model(construction)
-    shapes = {
-        emb.label: validate_embedding(model, emb) for emb in construction.chains
-    }
+    shapes = dict(zip(
+        (emb.label for emb in construction.chains), Replay(construction).shapes
+    ))
 
     start = time.perf_counter()
     computed = {
@@ -151,8 +145,7 @@ def test_criterion_2_canonical_relation_coefficients():
 
 def test_criterion_3_pullback_expansion():
     construction = load_construction("main_k3")
-    model = build_model(construction)
-    computed = pullback_expansion(construction, model)
+    computed = Replay(construction).coefficients
     recorded = construction.expected["pullback_coefficients"]
     corrections = construction.errata["pullback_coefficients"]
 
@@ -175,27 +168,25 @@ def test_criterion_3_pullback_expansion():
 )
 def test_criterion_3_pullback_expansion_as_printed():
     construction = load_construction("main_k3")
-    model = build_model(construction)
-    computed = pullback_expansion(construction, model)
+    computed = Replay(construction).coefficients
     assert computed["I6"] == Fraction(37, 14)
 
 
 def test_criterion_4_nef_table():
     construction = load_construction("main_k3")
-    model = build_model(construction)
+    replay = Replay(construction)
+    model = replay.model
     recorded = construction.expected["nef_values"]
     corrections = construction.errata["nef_values"]
     assert {name: Fraction(value) for name, value in recorded.items()} == NEF_TABLE
 
-    computed = dict(
-        nef_values(model, construction.chains, list(NEF_TABLE))
-    )
+    computed = dict(replay.nef)
     for name, value in NEF_TABLE.items():
         expected = Fraction(corrections.get(name, value))
         assert computed[name] == expected, name
     assert set(corrections) == {"E2''"}
 
-    pullback = pullback_canonical(model, construction.chains)
+    pullback = replay.pullback
     contracted = [name for emb in construction.chains for name in emb.curves]
     assert len(contracted) == 24
     for name in contracted:
@@ -209,8 +200,7 @@ def test_criterion_4_nef_table():
 )
 def test_criterion_4_nef_table_as_printed():
     construction = load_construction("main_k3")
-    model = build_model(construction)
-    computed = dict(nef_values(model, construction.chains, ["E2''"]))
+    computed = dict(Replay(construction).nef)
     assert computed["E2''"] == Fraction(43, 70)
 
 
@@ -231,12 +221,7 @@ def test_criterion_5_invariants():
         ("k4", 4, 8),
     ]:
         construction, _ = reports[name]
-        model = build_model(construction)
-        summary = blowdown_invariants(
-            model,
-            construction.chains,
-            graph=construction.graph,
-        )
+        summary = Replay(construction).summary
         assert summary.k_squared == k_squared
         assert summary.euler == euler
         assert summary.b2_plus == 1
@@ -245,12 +230,7 @@ def test_criterion_5_invariants():
         assert summary.k_squared + summary.euler == 12 * summary.chi
 
     _, k4_report = reports["k4"]
-    k4_model = build_model(reports["k4"][0])
-    k4_summary = blowdown_invariants(
-        k4_model,
-        reports["k4"][0].chains,
-        graph=reports["k4"][0].graph,
-    )
+    k4_summary = Replay(reports["k4"][0]).summary
     assert k4_summary.fingerprint == "P2 # 5 P2bar"
 
 

@@ -11,9 +11,10 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from blowdown import cli, parse_construction, read_dataset
+from blowdown import (MAX_CURVES, cli, parse_construction, parse_script,
+                      read_dataset)
 from blowdown.cli import MAX_CHAIN_LENGTH, MAX_GEN_LENGTH
-from blowdown.tchains import ClassTResult, hj_expand
+from blowdown.tchains import ClassTResult, apply_moves, hj_expand
 
 
 def run_cli(*args):
@@ -651,6 +652,54 @@ def test_tchain_check_exits_1_on_a_bad_triple(monkeypatch, capsys, flags):
     assert (code, out) == (1, "")
     assert err == ("error: chain [2, 5] has fraction 9/5, "
                    "not dn^2/(dna - 1) for (d, n, a) = (1, 3, 1)\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_tchain_check_bounds_the_chain_length(capsys, flags):
+    # Alternating moves make n grow about as 1.6^length: a 210-digit n here.
+    chain = apply_moves((4,), ["left", "right"] * 499 + ["left"])
+    assert len(chain) == MAX_CHAIN_LENGTH
+    code, out, err = run_in_process(capsys, "tchain", "check", *map(str, chain),
+                                    *flags)
+    assert (code, err) == (0, "")
+    assert "derived" in out
+    too_long = [str(b) for b in chain] + ["2"]
+    code, out, err = run_in_process(capsys, "tchain", "check", *too_long, *flags)
+    assert (code, out) == (2, "")
+    assert err == (f"error: the chain has {MAX_CHAIN_LENGTH + 1} entries, more "
+                   f"than {MAX_CHAIN_LENGTH}\n")
+
+
+def test_a_script_making_too_many_curves_exits_2(capsys, tmp_path, main_raw):
+    path = tmp_path / "many.json"
+    base = main_raw["base_curves"]
+    main_raw["base_curves"] = {f"c{i}": 1 for i in range(MAX_CURVES + 1)}
+    path.write_text(json.dumps(main_raw))
+    code, out, err = run_in_process(capsys, "invariants", "--dataset", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: base_curves names {MAX_CURVES + 1} curves, more "
+                   f"than {MAX_CURVES}\n")
+    main_raw["base_curves"] = base
+    main_raw["steps"] += [{"at": []}] * (MAX_CURVES + 1 - len(base)
+                                         - len(main_raw["steps"]))
+    path.write_text(json.dumps(main_raw))
+    code, out, err = run_in_process(capsys, "verify", "--dataset", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: steps bring the named curves to {MAX_CURVES + 1}, "
+                   f"more than {MAX_CURVES}\n")
+    # The bound itself is allowed.
+    script = parse_script({"base_curves": {"L": 1},
+                           "steps": [{"at": []}] * (MAX_CURVES - 1)})
+    assert len(script.steps) == MAX_CURVES - 1
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_an_unknown_curve_is_named_without_quotes(capsys, write_mutant,
+                                                  main_construction, flags):
+    path = write_mutant(main_construction, ("chains", 3, "curves"), ["nosuch"])
+    code, out, err = run_in_process(capsys, "contract", "--dataset", path, *flags)
+    assert (code, out) == (1, "")
+    assert err == "contraction fails: no curve named 'nosuch' on this surface\n"
 
 
 def test_list_with_no_datasets(monkeypatch, capsys, tmp_path):

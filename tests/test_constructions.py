@@ -9,11 +9,11 @@ import pytest
 
 from blowdown import (
     DATA_ENV,
+    Replay,
     available_constructions,
     build_model,
     load_construction,
     parse_construction,
-    pullback_expansion,
     verify,
 )
 
@@ -186,8 +186,8 @@ def test_unrecorded_negative_pairing_fails(pencil2_raw):
     assert CITATION in text
 
 
-def test_pullback_expansion_frozen_values(main_construction, main_model):
-    coefficients = pullback_expansion(main_construction, main_model)
+def test_pullback_expansion_frozen_values(main_construction):
+    coefficients = Replay(main_construction).coefficients
     assert coefficients["E3"] == 5
     assert coefficients["G10"] == Fraction(146, 35)
     assert coefficients["H6"] == Fraction(39, 38)

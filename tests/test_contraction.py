@@ -7,23 +7,27 @@ import pytest
 from blowdown import (
     ChainEmbedding,
     ContractionError,
+    Replay,
     chain_discrepancies,
     check_artin,
-    contracted_k_squared,
     expand_in_curves,
     general_params,
     hj_expand,
     intersect,
     k_squared_gain,
-    nef_values,
     pullback_canonical,
-    surviving_curves,
-    validate_embedding,
 )
 
 
 def contracted_names(construction):
     return [name for emb in construction.chains for name in emb.curves]
+
+
+def matched_shape(model, emb):
+    """The chain's shape as the replay reads it: once, by the Artin check,
+    then matched to its ``(p, q)``."""
+    (cert,) = check_artin(model, [emb]).chains
+    return emb.match(cert.chain)
 
 
 def test_embedding_label():
@@ -39,7 +43,7 @@ def test_validate_embedding_returns_recorded_shapes(main_construction, main_mode
         "C(2,1)": (4,),
     }
     for emb in main_construction.chains:
-        bs = validate_embedding(main_model, emb)
+        bs = matched_shape(main_model, emb)
         assert bs == shapes[emb.label]
         assert bs == hj_expand(emb.p * emb.p, emb.p * emb.q - 1)
 
@@ -48,21 +52,21 @@ def test_validate_embedding_rejects_repeated_curve(main_construction, main_model
     emb = main_construction.chains[0]
     doctored = ChainEmbedding(emb.p, emb.q, (emb.curves[0],) + emb.curves[:-1])
     with pytest.raises(ContractionError, match="repeated"):
-        validate_embedding(main_model, doctored)
+        matched_shape(main_model, doctored)
 
 
 def test_validate_embedding_rejects_wrong_order(main_construction, main_model):
     emb = main_construction.chains[2]
     doctored = ChainEmbedding(emb.p, emb.q, tuple(reversed(emb.curves)))
     with pytest.raises(ContractionError, match="does not match the expansion"):
-        validate_embedding(main_model, doctored)
+        matched_shape(main_model, doctored)
 
 
 def test_validate_embedding_rejects_wrong_parameters(main_construction, main_model):
     emb = main_construction.chains[0]
     doctored = ChainEmbedding(emb.p, 11, emb.curves)
     with pytest.raises(ContractionError, match=r"35\^2/\(35\*11 - 1\)"):
-        validate_embedding(main_model, doctored)
+        matched_shape(main_model, doctored)
 
 
 def test_validate_embedding_rejects_non_adjacent_curves(main_construction, main_model):
@@ -70,7 +74,7 @@ def test_validate_embedding_rejects_non_adjacent_curves(main_construction, main_
     b = main_construction.chains[1]
     doctored = ChainEmbedding(a.p, a.q, a.curves[:-1] + (b.curves[0],))
     with pytest.raises(ContractionError):
-        validate_embedding(main_model, doctored)
+        matched_shape(main_model, doctored)
 
 
 def test_chain_discrepancies_frozen_values():
@@ -93,7 +97,7 @@ def test_chain_discrepancies_frozen_values():
 
 def test_chain_discrepancies_in_open_unit_interval(main_construction, main_model):
     for emb in main_construction.chains:
-        bs = validate_embedding(main_model, emb)
+        bs = matched_shape(main_model, emb)
         for d in chain_discrepancies(bs):
             assert 0 < d < 1
 
@@ -101,7 +105,7 @@ def test_chain_discrepancies_in_open_unit_interval(main_construction, main_model
 def test_discrepancy_sum_for_wahl_chains(main_construction, main_model):
     # For a chain with fraction p^2/(pq - 1) the weighted sum equals the length.
     for emb in main_construction.chains:
-        bs = validate_embedding(main_model, emb)
+        bs = matched_shape(main_model, emb)
         ds = chain_discrepancies(bs)
         assert sum(d * (b - 2) for d, b in zip(ds, bs)) == len(bs)
 
@@ -128,20 +132,15 @@ def test_check_artin_certificates(main_construction, main_model):
 
 
 def test_contracted_k_squared(
-    main_construction,
-    main_model,
-    pencil2_construction,
-    pencil2_model,
-    k4_construction,
-    k4_model,
+    main_construction, pencil2_construction, k4_construction
 ):
-    assert contracted_k_squared(main_model, main_construction.chains) == 3
-    assert contracted_k_squared(pencil2_model, pencil2_construction.chains) == 3
-    assert contracted_k_squared(k4_model, k4_construction.chains) == 4
+    assert Replay(main_construction).k_squared == 3
+    assert Replay(pencil2_construction).k_squared == 3
+    assert Replay(k4_construction).k_squared == 4
 
 
 def test_pullback_is_orthogonal_to_contracted_curves(main_construction, main_model):
-    pullback = pullback_canonical(main_model, main_construction.chains)
+    pullback = Replay(main_construction).pullback
     names = contracted_names(main_construction)
     assert len(names) == 24
     for name in names:
@@ -153,19 +152,21 @@ def test_pullback_decomposes_with_discrepancy_coefficients(
     main_construction, main_model
 ):
     # pullback = K_Z + sum of discrepancy multiples of the contracted curves.
-    pullback = pullback_canonical(main_model, main_construction.chains)
+    chains = main_construction.chains
+    pullback = pullback_canonical(
+        main_model, chains, [matched_shape(main_model, emb) for emb in chains]
+    )
     correction = pullback - main_model.canonical
     names = contracted_names(main_construction)
     coefficients = expand_in_curves(main_model, correction, names)
     for emb in main_construction.chains:
-        bs = validate_embedding(main_model, emb)
+        bs = matched_shape(main_model, emb)
         for name, d in zip(emb.curves, chain_discrepancies(bs)):
             assert coefficients[name] == d
 
 
-def test_nef_values_frozen(main_construction, main_model):
-    chains = main_construction.chains
-    values = dict(nef_values(main_model, chains, surviving_curves(main_model, chains)))
+def test_nef_values_frozen(main_construction):
+    values = dict(Replay(main_construction).nef)
     assert values["E3"] == Fraction(79, 665)
     assert values["E4"] == Fraction(33, 70)
     assert values["E1'"] == Fraction(411, 665)

@@ -15,11 +15,12 @@ import blowdown.cli as cli
 import blowdown.topology as topology
 from blowdown import (
     Replay,
-    check_expectations,
     contraction,
     expand_in_curves,
+    grade_checkpoints,
     lattice,
     parse_construction,
+    run_script,
     verify,
 )
 
@@ -139,7 +140,6 @@ def test_expand_in_curves_matches_rational_elimination(main_model):
 def test_one_verify_replays_once(count_calls, main_construction):
     replays = count_calls(lattice.new_plane)
     pullbacks = count_calls(contraction.pullback_canonical)
-    validations = count_calls(contraction.validate_embedding)
     readings = count_calls(contraction.chain_shape)
     closures = count_calls(topology.pi1_closure)
     rc, text = run_json("verify", "main_k3")
@@ -147,11 +147,10 @@ def test_one_verify_replays_once(count_calls, main_construction):
     assert len(replays) == 1
     assert len(pullbacks) == 1
     # One reading of each chain serves chain_shapes and artin_contractibility;
-    # the replay matches it to (p, q) without validate_embedding's own read.
+    # the replay matches it to (p, q) without reading it again.
     assert [args[1] for args in readings] == [
         emb.curves for emb in main_construction.chains
     ]
-    assert len(validations) == 0
     assert len(closures) == 1
 
 
@@ -195,7 +194,8 @@ def test_checkpoint_that_raises_does_not_replay_again(count_calls, main_raw):
 
 def test_replay_grades_checkpoints_on_its_single_pass(main_construction):
     replay = Replay(main_construction)
-    assert replay.checkpoints == check_expectations(main_construction.script)
+    script = main_construction.script
+    assert replay.checkpoints == list(grade_checkpoints(script, run_script(script)))
 
 
 def test_failed_stage_fails_each_dependent_check_alike(main_raw):

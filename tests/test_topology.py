@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings
 
 from blowdown import (
-    blowdown_invariants,
+    Replay,
     continuants,
     fingerprint,
     hj_expand,
     meridian_powers,
     parse_graph,
     pi1_closure,
-    rational_ball_invariants,
     rationality_exclusion,
 )
 
@@ -165,31 +164,14 @@ def test_reconstructed_graphs_are_flagged(
     assert not main_construction.graph.reconstructed
 
 
-def test_rational_ball_invariants():
-    ball = rational_ball_invariants(7, 1)
-    assert (ball.euler, ball.signature, ball.h1_order) == (1, 0, 7)
-
-
-@given(st_coprime)
-@settings(max_examples=60)
-def test_rational_ball_first_homology(pair):
-    p, q = pair
-    ball = rational_ball_invariants(p, q)
-    assert ball.euler == 1
-    assert ball.signature == 0
-    assert ball.h1_order == p
-
-
 def test_rationality_exclusion_values():
     assert rationality_exclusion(3, 1) == (True, Fraction(4))
     assert rationality_exclusion(4, 1) == (True, Fraction(5))
     assert rationality_exclusion(-2, 1) == (False, Fraction(-1))
 
 
-def test_blowdown_invariants_frozen(main_construction, main_model):
-    summary = blowdown_invariants(
-        main_model, main_construction.chains, graph=main_construction.graph
-    )
+def test_blowdown_invariants_frozen(main_construction):
+    summary = Replay(main_construction).summary
     assert summary.k_squared == 3
     assert summary.euler == 9
     assert summary.signature == -5
@@ -203,10 +185,8 @@ def test_blowdown_invariants_frozen(main_construction, main_model):
     assert summary.fingerprint == "P2 # 6 P2bar"
 
 
-def test_blowdown_invariants_k4(k4_construction, k4_model):
-    summary = blowdown_invariants(
-        k4_model, k4_construction.chains, graph=k4_construction.graph
-    )
+def test_blowdown_invariants_k4(k4_construction):
+    summary = Replay(k4_construction).summary
     assert summary.k_squared == 4
     assert summary.euler == 8
     assert summary.signature == -4
@@ -214,17 +194,15 @@ def test_blowdown_invariants_k4(k4_construction, k4_model):
     assert summary.fingerprint == "P2 # 5 P2bar"
 
 
-def test_fingerprint_requires_trivial_pi1(main_construction, main_model):
-    summary = blowdown_invariants(
-        main_model, main_construction.chains, graph=main_construction.graph
-    )
+def test_fingerprint_requires_trivial_pi1(main_construction):
+    summary = Replay(main_construction).summary
     assert fingerprint(summary) == "P2 # 6 P2bar"
     silent = dataclasses.replace(summary, pi1_trivial=False)
     assert fingerprint(silent) is None
 
 
-def test_invariants_without_graph_leave_pi1_open(main_construction, main_model):
-    summary = blowdown_invariants(main_model, main_construction.chains)
+def test_invariants_without_graph_leave_pi1_open(main_construction):
+    summary = Replay(dataclasses.replace(main_construction, graph=None)).summary
     assert summary.k_squared == 3
     assert summary.pi1_trivial is None
     assert summary.fingerprint is None

@@ -10,21 +10,22 @@ Run:  python3 demos/02_lattice_replay.py
 """
 
 from blowdown import (
-    blow_up,
+    Script,
     grade_checkpoints,
-    intersect,
-    iter_models,
     load_construction,
-    new_plane,
+    parse_script,
+    run_script,
 )
 
 print("By hand first: two conics meet in four points.  Blow one up:")
-model = new_plane({"C1": 2, "C2": 2})
-print(f"  C1 . C2 = {intersect(model, 'C1', 'C2')}")
-model = blow_up(model, [("C1", 1), ("C2", 1)], "e1")
-print(f"  after a blow-up at a shared point: C1 . C2 = {intersect(model, 'C1', 'C2')}")
-print(f"  the new sphere: e1^2 = {intersect(model, 'e1', 'e1')}")
-print(f"  K^2 drops by one: {intersect(model, model.canonical, model.canonical)}")
+by_hand = {"base_curves": {"C1": 2, "C2": 2}, "steps": []}
+model = run_script(parse_script(by_hand))
+print(f"  C1 . C2 = {model.intersect('C1', 'C2')}")
+by_hand["steps"].append({"at": [["C1", 1], ["C2", 1]], "name": "e1"})
+model = run_script(parse_script(by_hand))
+print(f"  after a blow-up at a shared point: C1 . C2 = {model.intersect('C1', 'C2')}")
+print(f"  the new sphere: e1^2 = {model.intersect('e1', 'e1')}")
+print(f"  K^2 drops by one: {model.intersect(model.canonical, model.canonical)}")
 print()
 
 construction = load_construction("main_k3")
@@ -32,15 +33,16 @@ print(f"Now the recorded script of '{construction.name}':")
 print(f"  {construction.title}")
 print()
 
-milestones = {0, 9, 20, 30}
-for index, stage in iter_models(construction.script):
-    if index in milestones:
-        k2 = intersect(stage, stage.canonical, stage.canonical)
-        print(f"  after step {index:2}: rank {len(stage.canonical.coords):2}, K^2 = {k2}")
+# The surface after k steps is the script cut to its first k steps.
+script = construction.script
+for index in (0, 9, 20, 30):
+    stage = run_script(Script(script.base_curves, script.steps[:index]))
+    k2 = stage.intersect(stage.canonical, stage.canonical)
+    print(f"  after step {index:2}: rank {len(stage.canonical.coords):2}, K^2 = {k2}")
 print()
 
 # Every checkpoint is graded on the finished surface, the last stage.
-rows = list(grade_checkpoints(construction.script, stage))
+rows = list(grade_checkpoints(script, stage))
 reproduced = sum(1 for _, _, ok in rows if ok)
 print(f"The dataset records {len(rows)} intersection numbers along the way;")
 print(f"exact replay reproduces {reproduced} of {len(rows)}.")

@@ -11,7 +11,7 @@ its square is the K^2 of the blown-down surface.
 Run:  python3 demos/03_contraction.py
 """
 
-from blowdown import Replay, intersect, load_construction
+from blowdown import Replay, load_construction
 
 construction = load_construction("main_k3")
 # One replay: the script runs once and each stage is computed once, on use.
@@ -37,15 +37,15 @@ for emb, ds in zip(construction.chains, replay.discrepancies):
 print()
 
 pullback = replay.pullback
-k2_before = intersect(model, model.canonical, model.canonical)
+k2_before = model.intersect(model.canonical, model.canonical)
 k2_after = replay.k_squared
 print(f"K^2 of the resolution: {k2_before}")
 print(f"K^2 after contracting all 24 curves: {k2_after}")
-print(f"pullback . pullback = {intersect(model, pullback, pullback)} (the same number)")
+print(f"pullback . pullback = {model.intersect(pullback, pullback)} (the same number)")
 print()
 
 contracted = [name for emb in construction.chains for name in emb.curves]
-zeroes = sum(1 for name in contracted if intersect(model, pullback, name) == 0)
+zeroes = sum(1 for name in contracted if model.intersect(pullback, name) == 0)
 print(f"The pullback is orthogonal to {zeroes} of {len(contracted)} contracted curves.")
 print()
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -39,7 +40,6 @@ from .lattice import (
     BlowupStep,
     Expectation,
     Script,
-    SurfaceModel,
     grade_checkpoints,
     run_script,
 )
@@ -69,7 +69,6 @@ __all__ = [
     "read_dataset",
     "load_construction",
     "load_graph",
-    "build_model",
     "verify",
 ]
 
@@ -77,10 +76,10 @@ DATA_ENV = "BLOWDOWN_DATA_DIR"
 
 MAX_CURVES = 500
 """Most named curves a script may make, its base curves and steps
-together.  Every model holds the pairing of each ordered pair of named
-curves and each blow-up copies it, so the time of a replay grows about as
-the cube of this count: ``invariants`` on 500 curves peaks at about 70 MiB
-and takes about 2 s (Python 3.11, 2-vCPU Xeon)."""
+together.  The model holds the pairing of each ordered pair of named
+curves, so its size grows as the square of this count: ``verify`` on 500
+curves peaks at about 50 MiB and takes about 0.25 s, ``invariants`` about
+0.1 s (Python 3.11, 2-vCPU Xeon)."""
 
 
 def data_dir() -> Path:
@@ -179,19 +178,29 @@ def _object(value, path: str, keys) -> Mapping:
     return value
 
 
+_NUMBER = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _number(value, path: str) -> Fraction:
-    """A recorded number, given as an integer or a fraction string ``"p/q"``."""
+    """A recorded number, given as an integer or a fraction string ``"p/q"``
+    of ASCII digits, with no sign in the denominator and no spaces."""
     if type(value) is int:
         return Fraction(value)
-    if isinstance(value, str):
-        num, slash, den = value.partition("/")
+    if isinstance(value, str) and _NUMBER.fullmatch(value):
         try:
-            return Fraction(int(num), int(den) if slash else 1)
-        except (ValueError, ZeroDivisionError):
+            return Fraction(value)
+        except ZeroDivisionError:
             pass
     raise ValueError(
         f"{path} must be an integer or a fraction string, got {value!r}"
     )
+
+
+def _count(value, path: str) -> int:
+    """A positive integer field; errors name its path."""
+    if _typed(value, int, path) < 1:
+        raise ValueError(f"{path} must be positive, got {value}")
+    return value
 
 
 def _base_degree(name: str, value) -> int:
@@ -202,7 +211,7 @@ def _base_degree(name: str, value) -> int:
     """
     path = f"base_curves.{name}"
     if not isinstance(value, list):
-        return _typed(value, int, path)
+        return _count(value, path)
     if not value:
         raise ValueError(f"base curve {name!r} has an empty class array")
     head, *tail = (_typed(v, int, f"{path}[{i}]") for i, v in enumerate(value))
@@ -211,7 +220,7 @@ def _base_degree(name: str, value) -> int:
             f"base curve {name!r} has nonzero exceptional coordinates; "
             "scripts start on the plane, where only the degree may be set"
         )
-    return head
+    return _count(head, f"{path}[0]")
 
 
 def _pair(value, path: str, first: type, second: type) -> tuple:
@@ -231,7 +240,7 @@ def _expectation(raw, path: str, step_count: int) -> Expectation:
     after_step = _typed(raw.get("after_step"), int, f"{path}.after_step")
     if not 0 <= after_step <= step_count:
         raise ValueError(
-            f"expectation refers to step {after_step}, "
+            f"{path}.after_step refers to step {after_step}, "
             f"but the script has {step_count} steps"
         )
     cite = _typed(raw.get("cite", ""), str, f"{path}.cite")
@@ -249,8 +258,10 @@ def parse_script(data: Mapping) -> Script:
     """Build a :class:`Script` from its JSON object form.
 
     Degrees, multiplicities and ``after_step`` must be JSON integers, and a
-    checkpoint value an integer or a fraction string ``"p/q"``; anything
-    else, or more than :data:`MAX_CURVES` base curves and steps, raises
+    checkpoint value an integer or a fraction string ``"p/q"``.  Degrees
+    and multiplicities must be positive, a step's centre must list distinct
+    curves made before it, and a step name must be new.  Anything else, or
+    more than :data:`MAX_CURVES` base curves and steps, raises
     ``ValueError`` naming the field path.
     """
     for key in ("base_curves", "steps"):
@@ -274,21 +285,32 @@ def parse_script(data: Mapping) -> Script:
         _typed(raw["name"], str, f"steps[{i}].name")
         for i, raw in enumerate(raw_steps) if "name" in raw
     )
+    made = {name for name, _ in base}
     steps = []
     for i, raw in enumerate(raw_steps):
         path = f"steps[{i}].at"
-        at = tuple(
-            _pair(point, f"{path}[{j}]", str, int)
-            for j, point in enumerate(_typed(raw.get("at"), list, path))
-        )
+        at = {}
+        for j, point in enumerate(_typed(raw.get("at"), list, path)):
+            curve, mult = _pair(point, f"{path}[{j}]", str, int)
+            if curve not in made:
+                raise ValueError(f"{path}[{j}][0] is {curve!r}, which names "
+                                 "no curve made before this step")
+            if curve in at:
+                raise ValueError(f"{path}[{j}][0] lists {curve!r} a second "
+                                 "time in one centre")
+            at[curve] = _count(mult, f"{path}[{j}][1]")
         if "name" in raw:
             name = raw["name"]
+            if name in made:
+                raise ValueError(f"steps[{i}].name {name!r} is already the "
+                                 "name of a curve")
         else:
             name = f"e{i + 1}"
             while name in used:
                 name += "'"
             used.add(name)
-        steps.append(BlowupStep(name=name, center=at))
+        made.add(name)
+        steps.append(BlowupStep(name=name, center=tuple(at.items())))
     expectations = tuple(
         _expectation(raw, f"expectations[{i}]", len(steps))
         for i, raw in enumerate(
@@ -300,13 +322,6 @@ def parse_script(data: Mapping) -> Script:
         steps=tuple(steps),
         expectations=expectations,
     )
-
-
-def _count(value, path: str) -> int:
-    """A positive integer field of a graph; errors name its path."""
-    if _typed(value, int, path) < 1:
-        raise ValueError(f"{path} must be positive, got {value}")
-    return value
 
 
 def _fields(entry: Mapping, path: str, *keys: str) -> tuple[str, ...]:
@@ -340,15 +355,19 @@ def parse_graph(data: Mapping) -> ConnectionGraph:
                 q=_count(n.get("q"), f"{path}.q"),
             ))
     nodes = tuple(parsed)
-    names = {n.name for n in nodes}
-    if len(names) != len(nodes):
-        raise ValueError("graph has duplicate node names")
+    names = set()
+    for i, node in enumerate(nodes):
+        if node.name in names:
+            raise ValueError(f"graph.nodes[{i}].name {node.name!r} duplicates "
+                             "an earlier node's name")
+        names.add(node.name)
     edges = []
     for i, e in enumerate(_typed(data.get("edges"), list, "graph.edges")):
         path = f"graph.edges[{i}]"
         a, b = _fields(_object(e, path, _EDGE_KEYS), path, "a", "b")
-        if a not in names or b not in names:
-            raise ValueError(f"edge {a!r} -- {b!r} mentions an unknown node")
+        for key, end in (("a", a), ("b", b)):
+            if end not in names:
+                raise ValueError(f"{path}.{key} is {end!r}, an unknown node")
         edges.append(GraphEdge(
             a=a, b=b,
             power_a=_count(e.get("power_a"), f"{path}.power_a"),
@@ -537,11 +556,6 @@ def load_graph(source: Union[str, Path]) -> tuple[ConnectionGraph, str]:
     return construction.graph, construction.sha256
 
 
-def build_model(construction: Construction) -> SurfaceModel:
-    """Replay the blow-up script; its checkpoints are graded apart."""
-    return run_script(construction.script)
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -677,7 +691,7 @@ class Replay:
 
     def __init__(self, construction: Construction) -> None:
         self.construction = construction
-        self.model = build_model(construction)
+        self.model = run_script(construction.script)
 
     @cached_property
     def checkpoints(self):

@@ -4,17 +4,19 @@ A surface is modelled by its Neron-Severi lattice together with the classes
 of finitely many named curves.  The lattice has basis ``(h, e_1, ..., e_n)``
 where ``h`` is the class of a line and ``e_i`` is the total transform of the
 exceptional curve of the i-th blow-up; the intersection form is
-``diag(1, -1, ..., -1)``.  Blowing up is a pure operation: it returns a new
-model whose named curves are the strict transforms of the old ones, with the
-new exceptional curve registered under a fresh name.
+``diag(1, -1, ..., -1)``.  One pass over a blow-up script builds the
+finished model: each named curve is the strict transform of a plane curve
+or of an exceptional curve, and the pairing after an earlier step is read
+off the finished classes, since a blow-up only appends a coordinate.
 
 Every coordinate is an ``int``.  A rational class, such as the pullback of
 a contracted canonical class, keeps integer coordinates over one common
 denominator, and its pairings come out as :class:`fractions.Fraction`.  Each
-model also carries the integer Gram matrix of its named curves, updated at
-every blow-up.  Arithmetic is ``int`` and ``Fraction``, never ``float``.
-This module reads no JSON: :func:`blowdown.constructions.parse_script`
-reads a :class:`Script` from a dataset.
+model also carries the integer Gram matrix of its named curves, updated in
+place at every blow-up.  Arithmetic is ``int`` and ``Fraction``, never
+``float``.  This module reads no JSON:
+:func:`blowdown.constructions.parse_script` reads a :class:`Script` from a
+dataset.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter, mul
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Union
 
 Rational = Union[int, Fraction]
 
@@ -34,10 +36,6 @@ __all__ = [
     "SurfaceModel",
     "Expectation",
     "Script",
-    "new_plane",
-    "blow_up",
-    "intersect",
-    "iter_models",
     "grade_checkpoints",
     "run_script",
 ]
@@ -195,87 +193,6 @@ class SurfaceModel:
         )
 
 
-def new_plane(base_curves: Mapping[str, int]) -> SurfaceModel:
-    """The projective plane carrying named plane curves of given degrees."""
-    curves: dict[str, DivisorClass] = {}
-    for name, degree in base_curves.items():
-        if not isinstance(degree, int) or degree < 1:
-            raise ValueError(
-                f"curve {name!r} must have a positive integer degree, got {degree!r}"
-            )
-        curves[name] = DivisorClass((degree,))
-    gram = {
-        (a, b): ca.coords[0] * cb.coords[0]
-        for a, ca in curves.items()
-        for b, cb in curves.items()
-    }
-    return SurfaceModel(
-        blowup_count=0, curves=curves, canonical=DivisorClass((-3,)), gram=gram
-    )
-
-
-def blow_up(
-    model: SurfaceModel,
-    at: Sequence[tuple[str, int]],
-    name: str,
-) -> SurfaceModel:
-    """Blow up one point and return the resulting surface.
-
-    ``at`` names the curves through the point with their multiplicities
-    there.  Curves not listed are assumed to miss the point.  The strict
-    transform of a listed curve drops ``mult`` copies of the new exceptional
-    class; the canonical class gains one copy.  In the Gram matrix, two
-    listed curves lose the product of their multiplicities, and the new
-    curve meets each curve in its multiplicity.
-    """
-    if name in model.curves:
-        raise ValueError(f"curve name {name!r} already in use")
-    seen: set[str] = set()
-    for curve_name, mult in at:
-        if curve_name not in model.curves:
-            raise ValueError(
-                f"blow-up center lies on unknown curve {curve_name!r}"
-            )
-        if curve_name in seen:
-            raise ValueError(
-                f"curve {curve_name!r} listed twice in one blow-up center"
-            )
-        seen.add(curve_name)
-        if not isinstance(mult, int) or mult < 1:
-            raise ValueError(
-                f"multiplicity of {curve_name!r} must be a positive integer, "
-                f"got {mult!r}"
-            )
-
-    mults = dict(at)
-    curves = {
-        curve_name: DivisorClass(cls.coords + (-mults.get(curve_name, 0),))
-        for curve_name, cls in model.curves.items()
-    }
-    curves[name] = DivisorClass((0,) * model.lattice_rank + (1,))
-    gram = dict(model.gram)
-    for a, ma in mults.items():
-        for b, mb in mults.items():
-            gram[a, b] -= ma * mb
-    for curve_name in model.curves:
-        gram[name, curve_name] = gram[curve_name, name] = mults.get(curve_name, 0)
-    gram[name, name] = -1
-    return SurfaceModel(
-        blowup_count=model.blowup_count + 1,
-        curves=curves,
-        canonical=DivisorClass(model.canonical.coords + (1,)),
-        gram=gram,
-    )
-
-
-def intersect(
-    model: SurfaceModel,
-    a: Union[str, DivisorClass],
-    b: Union[str, DivisorClass],
-) -> Rational:
-    return model.intersect(a, b)
-
-
 @dataclass(frozen=True)
 class Expectation:
     """A recorded intersection number tied to a point in the blow-up script:
@@ -319,24 +236,15 @@ class Expectation:
 
 @dataclass(frozen=True)
 class Script:
-    """A reproducible blow-up recipe with its recorded checkpoints."""
+    """A reproducible blow-up recipe with its recorded checkpoints.
+
+    Every base degree and multiplicity is positive, and each step's centre
+    lists distinct curves made before it, under a name no curve has yet.
+    """
 
     base_curves: tuple[tuple[str, int], ...]
     steps: tuple[BlowupStep, ...]
     expectations: tuple[Expectation, ...] = ()
-
-    @property
-    def step_count(self) -> int:
-        return len(self.steps)
-
-
-def iter_models(script: Script) -> Iterator[tuple[int, SurfaceModel]]:
-    """Yield ``(step_index, model)`` starting from ``(0, plane)``."""
-    model = new_plane(dict(script.base_curves))
-    yield 0, model
-    for i, step in enumerate(script.steps, start=1):
-        model = blow_up(model, step.center, step.name)
-        yield i, model
 
 
 def grade_checkpoints(
@@ -350,7 +258,37 @@ def grade_checkpoints(
 
 def run_script(script: Script) -> SurfaceModel:
     """Execute every blow-up and return the finished surface, on which
-    :func:`grade_checkpoints` grades the recorded checkpoints."""
-    for _, model in iter_models(script):
-        pass
-    return model
+    :func:`grade_checkpoints` grades the recorded checkpoints.
+
+    ``script`` is taken as :func:`blowdown.constructions.parse_script`
+    reads one, which checks every degree, centre and name.  Each curve
+    keeps one coordinate list of the final rank, and one Gram dict is
+    updated in place: blowing up a point on curves of multiplicities
+    ``m_a`` sets their new coordinate to ``-m_a``, lowers each pairing of
+    two of them by ``m_a m_b`` and gives the new curve the row of the
+    ``m_a``.  Curves not in the centre miss the point, and the canonical
+    class gains the new exceptional class.
+    """
+    rank = len(script.steps) + 1
+    coords: dict[str, list[int]] = {}
+    gram: dict[tuple[str, str], int] = {}
+    for name, degree in script.base_curves:
+        coords[name] = [degree] + [0] * (rank - 1)
+        for other, row in coords.items():
+            gram[name, other] = gram[other, name] = degree * row[0]
+    for i, step in enumerate(script.steps, start=1):
+        for a, ma in step.center:
+            coords[a][i] = -ma
+            for b, mb in step.center:
+                gram[a, b] -= ma * mb
+        for other, row in coords.items():
+            gram[step.name, other] = gram[other, step.name] = -row[i]
+        gram[step.name, step.name] = -1
+        coords[step.name] = [0] * rank
+        coords[step.name][i] = 1
+    return SurfaceModel(
+        blowup_count=rank - 1,
+        curves={name: DivisorClass(tuple(row)) for name, row in coords.items()},
+        canonical=DivisorClass((-3,) + (1,) * (rank - 1)),
+        gram=gram,
+    )

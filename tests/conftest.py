@@ -3,7 +3,7 @@ import json
 import pytest
 
 import blowdown
-from blowdown import Construction, build_model, load_construction
+from blowdown import Construction, load_construction, run_script
 
 
 @pytest.fixture(scope="session")
@@ -23,17 +23,17 @@ def k4_construction() -> Construction:
 
 @pytest.fixture(scope="session")
 def main_model(main_construction):
-    return build_model(main_construction)
+    return run_script(main_construction.script)
 
 
 @pytest.fixture(scope="session")
 def pencil2_model(pencil2_construction):
-    return build_model(pencil2_construction)
+    return run_script(pencil2_construction.script)
 
 
 @pytest.fixture(scope="session")
 def k4_model(k4_construction):
-    return build_model(k4_construction)
+    return run_script(k4_construction.script)
 
 
 @pytest.fixture()

@@ -32,7 +32,6 @@ from blowdown import (
     hj_expand,
     hj_value,
     chain_determinant,
-    intersect,
     load_construction,
     parse_construction,
     parse_graph,
@@ -190,7 +189,7 @@ def test_criterion_4_nef_table():
     contracted = [name for emb in construction.chains for name in emb.curves]
     assert len(contracted) == 24
     for name in contracted:
-        assert intersect(model, pullback, name) == 0, name
+        assert model.intersect(pullback, name) == 0, name
 
 
 @pytest.mark.xfail(

@@ -257,9 +257,18 @@ def test_pi1_graph_file(tmp_path):
      "graph.edges[0].b must be a string"),
     ({"nodes": [{"name": "A", "order": 4}], "edges": [], "reconstructed": "no"},
      "graph.reconstructed must be a boolean"),
+    ({"nodes": [{"name": "A", "order": 4}, {"name": "A", "order": 2}],
+      "edges": []}, "graph.nodes[1].name 'A' duplicates an earlier node's name"),
+    ({"nodes": [{"name": "A", "order": 4}],
+      "edges": [{"a": "X", "b": "A", "power_a": 1, "power_b": 1}]},
+     "graph.edges[0].a is 'X', an unknown node"),
+    ({"nodes": [{"name": "A", "order": 4}],
+      "edges": [{"a": "A", "b": "X", "power_a": 1, "power_b": 1}]},
+     "graph.edges[0].b is 'X', an unknown node"),
 ], ids=["nodes_not_a_list", "no_edges", "node_without_name", "node_not_object",
         "edge_without_b", "edge_without_a", "node_name_not_a_string",
-        "edge_end_not_a_string", "reconstructed_not_a_boolean"])
+        "edge_end_not_a_string", "reconstructed_not_a_boolean",
+        "duplicate_node_name", "edge_a_unknown", "edge_b_unknown"])
 def test_malformed_graph_file_names_the_field(tmp_path, graph, message):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(graph))
@@ -430,6 +439,24 @@ def test_recorded_table_that_is_an_array_exits_2(tmp_path, main_construction):
     (("graph",), "", "graph must be an object"),
     (("graph",), [], "graph must be an object"),
     (("graph",), {}, "graph.nodes must be an array"),
+    # The blow-up centres, degrees and step names the reader checks.
+    (("steps", 0, "at", 0, 1), 0, "steps[0].at[0][1] must be positive, got 0"),
+    (("steps", 0, "at", 0, 1), -2, "steps[0].at[0][1] must be positive, got -2"),
+    (("steps", 3, "at", 1, 0), "e5",
+     "steps[3].at[1][0] is 'e5', which names no curve made before this step"),
+    (("steps", 0, "at", 1, 0), "B",
+     "steps[0].at[1][0] lists 'B' a second time in one centre"),
+    (("steps", 1, "name"), "e1", "steps[1].name 'e1' is already the name of a curve"),
+    (("base_curves", "A"), 0, "base_curves.A must be positive, got 0"),
+    (("expectations", 3, "after_step"), 99,
+     "expectations[3].after_step refers to step 99, but the script has 30 steps"),
+    # A number string is ASCII digits, with no spaces or separators.
+    (("expected", "k_squared", "value"), "0_3",
+     "expected.k_squared must be an integer or a fraction string, got '0_3'"),
+    (("expected", "k_squared", "value"), " 3 ",
+     "expected.k_squared must be an integer or a fraction string, got ' 3 '"),
+    (("expected", "k_squared", "value"), "\uff13",
+     "expected.k_squared must be an integer or a fraction string, got '\uff13'"),
 ], ids=["k_squared", "discrepancy", "erratum", "pi1_trivial", "graph_node_q",
         "multiplicity_float", "multiplicity_string", "multiplicity_bool",
         "center_not_a_pair", "degree_float_entry", "degree_bool", "degree_string",
@@ -437,7 +464,10 @@ def test_recorded_table_that_is_an_array_exits_2(tmp_path, main_construction):
         "name", "title", "citation", "fiber_expansion", "cite",
         "graph_reconstructed", "graph_node_name", "graph_edge_end",
         "graph_zero", "graph_false", "graph_empty_string", "graph_empty_array",
-        "graph_empty_object"])
+        "graph_empty_object", "multiplicity_zero", "multiplicity_negative",
+        "centre_made_later", "centre_repeated", "step_name_reused", "degree_zero",
+        "after_step_beyond_script", "number_underscore", "number_spaces",
+        "number_fullwidth"])
 def test_malformed_recorded_field_exits_2(write_mutant, main_construction, path,
                                           value, message):
     result = run_cli("verify", "--dataset",
@@ -691,6 +721,35 @@ def test_a_script_making_too_many_curves_exits_2(capsys, tmp_path, main_raw):
     script = parse_script({"base_curves": {"L": 1},
                            "steps": [{"at": []}] * (MAX_CURVES - 1)})
     assert len(script.steps) == MAX_CURVES - 1
+
+
+def test_verify_at_the_curve_bound_runs_in_bounded_memory(tmp_path, main_raw):
+    # The process's own peak RSS; a build that copied the pairing at every
+    # blow-up peaked at about 69 MiB here.  It is read as VmHWM, since
+    # ru_maxrss keeps the peak of the process that started this one, here
+    # the test runner's.  The free blow-ups that pad main_k3 to the bound
+    # break its recorded counts and relations.
+    main_raw["steps"] += [{"at": []}] * (
+        MAX_CURVES - len(main_raw["base_curves"]) - len(main_raw["steps"]))
+    path = tmp_path / "padded.json"
+    path.write_text(json.dumps(main_raw))
+    script = (
+        "import re, sys\n"
+        "from blowdown import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "sys.stdout.flush()\n"
+        "with open('/proc/self/status') as status:\n"
+        "    rss = re.search(r'VmHWM:\\s*(\\d+) kB', status.read())[1]\n"
+        "print(rss, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, "verify", "--dataset", str(path)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 1
+    assert "[FAIL] invariants" in result.stdout
+    assert int(result.stderr) < 64 * 1024  # KiB
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]])

@@ -11,9 +11,9 @@ from blowdown import (
     DATA_ENV,
     Replay,
     available_constructions,
-    build_model,
     load_construction,
     parse_construction,
+    run_script,
     verify,
 )
 
@@ -86,7 +86,7 @@ def test_build_model_sizes(main_construction, pencil2_construction, k4_construct
         (pencil2_construction, 19),
         (k4_construction, 27),
     ]:
-        model = build_model(construction)
+        model = run_script(construction.script)
         assert model.blowup_count == steps
         assert len(model.canonical.coords) == steps + 1
 

@@ -13,7 +13,6 @@ from blowdown import (
     expand_in_curves,
     general_params,
     hj_expand,
-    intersect,
     k_squared_gain,
     pullback_canonical,
 )
@@ -144,8 +143,8 @@ def test_pullback_is_orthogonal_to_contracted_curves(main_construction, main_mod
     names = contracted_names(main_construction)
     assert len(names) == 24
     for name in names:
-        assert intersect(main_model, pullback, name) == 0
-    assert intersect(main_model, pullback, pullback) == 3
+        assert main_model.intersect(pullback, name) == 0
+    assert main_model.intersect(pullback, pullback) == 3
 
 
 def test_pullback_decomposes_with_discrepancy_coefficients(

@@ -7,19 +7,26 @@ import json
 import re
 from contextlib import redirect_stdout
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 import blowdown.cli as cli
 import blowdown.topology as topology
 from blowdown import (
+    Expectation,
     Replay,
+    Script,
     contraction,
     expand_in_curves,
     grade_checkpoints,
     lattice,
+    load_construction,
     parse_construction,
+    parse_script,
     run_script,
     verify,
 )
@@ -117,12 +124,46 @@ def test_envelopes_and_classes_stay_exact(dataset, write_mutant, request):
     assert_exact_envelope(run_json("verify", "--dataset", mutant)[1], construction)
 
 
-def test_gram_matrix_matches_the_classes(main_construction, k4_construction):
-    for construction in (main_construction, k4_construction):
-        model = Replay(construction).model
-        for a, ca in model.curves.items():
-            for b, cb in model.curves.items():
-                assert model.gram[a, b] == ca.dot(cb), (a, b)
+@st.composite
+def scripts(draw):
+    """A script of up to 12 blow-ups of up to three plane curves.  Each
+    centre lies on distinct earlier curves, exceptional ones too, so points
+    may be infinitely near, with multiplicities 1 to 3."""
+    base = {f"C{i}": draw(st.integers(1, 3)) for i in range(draw(st.integers(1, 3)))}
+    names = list(base)
+    steps = []
+    for i in range(draw(st.integers(0, 12))):
+        on = draw(st.lists(st.sampled_from(names), max_size=3, unique=True))
+        steps.append({"at": [[name, draw(st.integers(1, 3))] for name in on]})
+        names.append(f"e{i + 1}")
+    return parse_script({"base_curves": base, "steps": steps})
+
+
+@given(script=scripts())
+@example(script=load_construction("main_k3").script)
+@example(script=load_construction("k4").script)
+@settings(max_examples=60, deadline=None)
+def test_gram_matrix_matches_the_classes(script):
+    """The one-pass build pairs named curves as their classes do, drops
+    ``K^2`` by one per blow-up, and every pairing after step ``k`` graded on
+    the finished model is the pairing on the script cut to ``k`` steps."""
+    model = run_script(script)
+    for a, ca in model.curves.items():
+        for b, cb in model.curves.items():
+            assert model.gram[a, b] == ca.dot(cb), (a, b)
+    n = len(script.steps)
+    assert model.blowup_count == n
+    assert len(model.canonical.coords) == 1 + n
+    assert model.intersect(model.canonical, model.canonical) == 9 - n
+    for k in range(n + 1):
+        snapshot = run_script(Script(script.base_curves, script.steps[:k]))
+        for pair in product(model.curves, repeat=2):
+            checkpoint = Expectation(after_step=k, curves=pair, value=Fraction(0))
+            if all(name in snapshot.curves for name in pair):
+                assert checkpoint.grade(model)[1] == snapshot.intersect(*pair)
+            else:
+                with pytest.raises(KeyError, match="no curve named"):
+                    checkpoint.grade(model)
 
 
 def test_expand_in_curves_matches_rational_elimination(main_model):
@@ -138,7 +179,7 @@ def test_expand_in_curves_matches_rational_elimination(main_model):
 
 
 def test_one_verify_replays_once(count_calls, main_construction):
-    replays = count_calls(lattice.new_plane)
+    replays = count_calls(lattice.run_script)
     pullbacks = count_calls(contraction.pullback_canonical)
     readings = count_calls(contraction.chain_shape)
     closures = count_calls(topology.pi1_closure)
@@ -180,7 +221,7 @@ def test_contracted_k_squared_is_computed_once(monkeypatch, main_construction):
 def test_checkpoint_that_raises_does_not_replay_again(count_calls, main_raw):
     main_raw["expectations"][0]["curve"] = "nosuchcurve"
     construction = parse_construction(main_raw)
-    replays = count_calls(lattice.new_plane)
+    replays = count_calls(lattice.run_script)
     report = verify(construction)
     assert len(replays) == 1
     by_name = {c.name: c for c in report.checks}

@@ -2,7 +2,9 @@
 
 import dataclasses
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from blowdown import Script, grade_checkpoints, parse_script, run_script
 
@@ -87,6 +89,20 @@ def test_divisor_class_arithmetic():
     assert m.intersect(q - 2 * l, "L") == 0
     assert m.intersect(l + l, q) == 4
     assert m.intersect(-l, l) == -1
+
+
+@given(st.lists(st.integers(1, 3), min_size=0, max_size=12))
+@settings(max_examples=60)
+def test_blow_up_sequence_invariants(mults):
+    # K^2 drops by exactly one per blow-up, whatever the centres are.
+    # Alternate centres between the base curve and the last sphere.
+    centres = [[["L", mult]] if i % 2 == 0 else [[f"e{i}", 1]]
+               for i, mult in enumerate(mults)]
+    m = build({"L": 1}, *centres)
+    n = len(mults)
+    assert m.blowup_count == n
+    assert m.intersect(m.canonical, m.canonical) == 9 - n
+    assert len(m.canonical.coords) == 1 + n
 
 
 def test_script_replay_counts(main_construction, pencil2_construction, k4_construction):

@@ -203,26 +203,6 @@ def _count(value, path: str) -> int:
     return value
 
 
-def _base_degree(name: str, value) -> int:
-    """Degree of a base curve given as an int or an ``[h, e1, ...]`` array.
-
-    Scripts start on the projective plane, so any exceptional coordinates
-    in the array form must be zero.
-    """
-    path = f"base_curves.{name}"
-    if not isinstance(value, list):
-        return _count(value, path)
-    if not value:
-        raise ValueError(f"base curve {name!r} has an empty class array")
-    head, *tail = (_typed(v, int, f"{path}[{i}]") for i, v in enumerate(value))
-    if any(tail):
-        raise ValueError(
-            f"base curve {name!r} has nonzero exceptional coordinates; "
-            "scripts start on the plane, where only the degree may be set"
-        )
-    return _count(head, f"{path}[0]")
-
-
 def _pair(value, path: str, first: type, second: type) -> tuple:
     """A two-entry array of the given JSON kinds."""
     if len(_typed(value, list, path)) != 2:
@@ -271,7 +251,8 @@ def parse_script(data: Mapping) -> Script:
     if len(raw_base) > MAX_CURVES:
         raise ValueError(f"base_curves names {len(raw_base)} curves, more "
                          f"than {MAX_CURVES}")
-    base = tuple((name, _base_degree(name, deg)) for name, deg in raw_base.items())
+    base = tuple((name, _count(degree, f"base_curves.{name}"))
+                 for name, degree in raw_base.items())
     raw_steps = _typed(data["steps"], list, "steps")
     total = len(base) + len(raw_steps)
     if total > MAX_CURVES:
@@ -715,13 +696,14 @@ class Replay:
 
     @cached_property
     def discrepancies(self):
+        """The discrepancies of each chain, solved once from its shape."""
         return tuple(chain_discrepancies(bs) for bs in self.shapes)
 
     @cached_property
     def pullback(self):
         """The pullback of the contracted surface's canonical class."""
         return pullback_canonical(
-            self.model, self.construction.chains, self.shapes
+            self.model, self.construction.chains, self.discrepancies
         )
 
     @cached_property
@@ -861,12 +843,11 @@ def _script_check(replay: Replay, grade: _Grade):
 
 
 def _shapes_check(replay: Replay, grade: _Grade):
+    # Once match has passed, gcd(p^2, pq - 1) = 1: the fraction is reduced.
     for emb, bs in zip(replay.construction.chains, replay.shapes):
-        fraction = Fraction(emb.p * emb.p, emb.p * emb.q - 1)
-        grade.note(
-            f"{emb.label}: shape {list(bs)} matches {fraction.numerator}/"
-            f"{fraction.denominator}, determinant {emb.p * emb.p}"
-        )
+        p, q = emb.p, emb.q
+        grade.note(f"{emb.label}: shape {list(bs)} matches {p * p}/"
+                   f"{p * q - 1}, determinant {p * p}")
 
 
 def _artin_check(replay: Replay, grade: _Grade):
@@ -874,8 +855,7 @@ def _artin_check(replay: Replay, grade: _Grade):
     lines = [
         f"{chain_cert.label}: leading minors "
         f"{', '.join(str(m) for m in chain_cert.minors)}; "
-        + ("signs alternate, negative definite" if chain_cert.negative_definite
-           else "signs do not alternate")
+        "signs alternate, negative definite"
         for chain_cert in cert.chains
     ] + [
         f"{a_label} curve {a} meets {b_label} curve {b}: {value}"
@@ -894,7 +874,7 @@ def _discrepancy_check(replay: Replay, grade: _Grade):
                 "leave the open interval (0, 1)"
             )
             continue
-        gain = k_squared_gain(bs)
+        gain = k_squared_gain(bs, ds)
         if gain != len(bs):
             grade.fail(
                 f"{emb.label}: sum of d_i (b_i - 2) is {gain}, "

@@ -21,7 +21,7 @@ from math import gcd, lcm
 from typing import Sequence, Union
 
 from .lattice import DivisorClass, SurfaceModel
-from .tchains import chain_discrepancies, continuants, wahl_chain
+from .tchains import continuants, wahl_chain
 
 __all__ = [
     "ContractionError",
@@ -96,15 +96,6 @@ class ChainCertificate:
     label: str
     chain: tuple[int, ...]
     minors: tuple[int, ...]
-    negative_definite: bool
-    determinant: int
-    expected_determinant: int
-
-    @property
-    def ok(self) -> bool:
-        return self.negative_definite and (
-            self.determinant == (-1) ** len(self.chain) * self.expected_determinant
-        )
 
 
 @dataclass(frozen=True)
@@ -114,7 +105,7 @@ class ArtinCertificate:
 
     @property
     def ok(self) -> bool:
-        return not self.cross_violations and all(c.ok for c in self.chains)
+        return not self.cross_violations
 
 
 def check_artin(
@@ -124,12 +115,15 @@ def check_artin(
 
     Each chain is read off the model once, without its recorded ``(p, q)``:
     its curves must be distinct, consecutive ones meeting once and the
-    others not at all, or a ``ContractionError`` is raised.  For each chain
-    the leading principal minors ``m_1, ..., m_k`` of its intersection
-    matrix must satisfy ``(-1)^j m_j > 0``, and the full determinant must
-    be ``(-1)^k p^2``.  The matrix of a chain is tridiagonal, so ``m_j`` is
-    ``(-1)^j`` times the j-th continuant of its shape.  Distinct chains
-    must not meet.
+    others not at all, and each must have self-intersection at most -2, or
+    a ``ContractionError`` is raised.  The matrix of a chain is
+    tridiagonal, so its leading principal minor ``m_j`` is ``(-1)^j`` times
+    the j-th continuant ``q_j`` of its shape.  With every ``b_i >= 2`` the
+    continuants increase strictly from ``q_0 = 1``, since
+    ``q_j - q_{j-1} = (b_j - 2) q_{j-1} + (q_{j-1} - q_{j-2})``, so the
+    minors alternate in sign and the chain is negative definite.  Whether
+    the determinant is ``(-1)^k p^2`` is for :meth:`ChainEmbedding.match`
+    to decide.  Distinct chains must not meet.
     """
     certificates = []
     for emb in embeddings:
@@ -147,18 +141,9 @@ def check_artin(
                         f"{emb.label}: {names[i]} . {names[j]} = {value}, "
                         f"expected {expected}"
                     )
-        qs = continuants(bs)
-        minors = tuple((-1) ** j * q for j, q in enumerate(qs, start=1))
-        certificates.append(
-            ChainCertificate(
-                label=emb.label,
-                chain=bs,
-                minors=minors,
-                negative_definite=all(q > 0 for q in qs),
-                determinant=minors[-1],
-                expected_determinant=emb.p * emb.p,
-            )
-        )
+        minors = tuple((-1) ** j * q
+                       for j, q in enumerate(continuants(bs), start=1))
+        certificates.append(ChainCertificate(emb.label, bs, minors))
     violations = []
     for i in range(len(embeddings)):
         for j in range(i + 1, len(embeddings)):
@@ -176,20 +161,21 @@ def check_artin(
 def pullback_canonical(
     model: SurfaceModel,
     embeddings: Sequence[ChainEmbedding],
-    shapes: Sequence[tuple[int, ...]],
+    discrepancies: Sequence[Sequence[Fraction]],
 ) -> DivisorClass:
     """The pullback of the contracted surface's canonical class.
 
-    Computes ``K + sum of d_i G_i`` over every chain, from each chain's
-    shape as read off the model and matched to its ``(p, q)``.  The sum is
-    taken in integers over the common denominator of the discrepancies.
+    Computes ``K + sum of d_i G_i`` over every chain, from the
+    discrepancies of each chain's shape as read off the model and matched
+    to its ``(p, q)``.  The sum is taken in integers over the common
+    denominator of the discrepancies.
     Orthogonality to every contracted curve defines the pullback and is
     asserted; it fails when adjunction ``K . G_i = b_i - 2``, which the
     discrepancies assume, fails on a chain curve, or when two chains meet.
     """
     terms = []
-    for emb, bs in zip(embeddings, shapes):
-        terms.extend(zip(emb.curves, chain_discrepancies(bs)))
+    for emb, ds in zip(embeddings, discrepancies):
+        terms.extend(zip(emb.curves, ds))
     den = lcm(*(d.denominator for _, d in terms))
     coords = [den * c for c in model.canonical.coords]
     for name, d in terms:

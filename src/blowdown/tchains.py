@@ -427,13 +427,13 @@ def chain_discrepancies(bs: Sequence[int]) -> tuple[Fraction, ...]:
     )
 
 
-def k_squared_gain(bs: Sequence[int]) -> Fraction:
-    """How much contracting the chain raises the canonical self-intersection.
+def k_squared_gain(bs: Sequence[int], ds: Sequence[Fraction]) -> Fraction:
+    """How much contracting the chain raises the canonical self-intersection,
+    given its discrepancies ``ds`` (:func:`chain_discrepancies`).
 
     Equals ``sum_i d_i (b_i - 2)``; for a Wahl chain this is the chain
     length, an integer.
     """
-    ds = chain_discrepancies(bs)
     return sum(
         (d * (b - 2) for d, b in zip(ds, bs)), Fraction(0)
     )

@@ -252,20 +252,13 @@ def blowdown_invariants(
     euler = 3 + model.blowup_count - total_length
     signature = (1 - model.blowup_count) + total_length
     b2 = model.lattice_rank - total_length
-    if (b2 + signature) % 2 != 0:
-        raise ValueError(
-            f"inconsistent surgery data: b2 = {b2}, signature = {signature}"
-        )
+    # b2 + signature = 2 and euler + signature = 4, so the divisions are
+    # exact and b2_plus = chi = 1.
     b2_plus = (b2 + signature) // 2
     b2_minus = (b2 - signature) // 2
-    if b2_plus < 0 or b2_minus < 0:
+    if b2_minus < 0:
         raise ValueError(
             f"signature {signature} out of range for b2 = {b2}"
-        )
-    if (euler + signature) % 4 != 0:
-        raise ValueError(
-            f"Euler characteristic {euler} and signature {signature} "
-            "are incompatible with a complex structure"
         )
     chi = (euler + signature) // 4
     noether_ok = k_squared + euler == 12 * chi

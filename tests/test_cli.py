@@ -119,25 +119,37 @@ def test_tchain_gen_exits_141_when_the_reader_leaves(flags):
     assert stderr == b""
 
 
+_PEAK_RSS = (
+    "import re, sys\n"
+    "from blowdown import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "sys.stdout.flush()\n"
+    "with open('/proc/self/status') as status:\n"
+    "    rss = re.search(r'VmHWM:\\s*(\\d+) kB', status.read())[1]\n"
+    "print(rss, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def run_cli_peak_rss(*args):
+    """Runs the command line in a child process, and returns its result
+    and the child's own peak RSS in KiB.  The peak is read as VmHWM, since
+    ru_maxrss keeps the peak of the process that started the child, here
+    the test runner's."""
+    result = subprocess.run([sys.executable, "-c", _PEAK_RSS, *args],
+                            capture_output=True, text=True)
+    return result, int(result.stderr)
+
+
 def test_tchain_gen_json_streams_in_flat_memory():
-    # The process's own peak RSS; the whole envelope built in memory
-    # peaked at about 104 MiB at this length.
-    script = (
-        "import resource, sys\n"
-        "from blowdown import cli\n"
-        "code = cli.main(['tchain', 'gen', '--max-len', '14', '--json'])\n"
-        "sys.stdout.flush()\n"
-        "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "print(rss, file=sys.stderr)\n"
-        "sys.exit(code)\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True
-    )
+    # The whole envelope built in memory peaked at about 104 MiB at this
+    # length.
+    result, peak_kib = run_cli_peak_rss("tchain", "gen", "--max-len", "14",
+                                        "--json")
     assert result.returncode == 0
     payload = json.loads(result.stdout)["result"]
     assert payload["count"] == len(payload["chains"]) == 2**15 - 16
-    assert int(result.stderr) < 64 * 1024  # KiB
+    assert peak_kib < 64 * 1024
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]])
@@ -416,7 +428,7 @@ def test_recorded_table_that_is_an_array_exits_2(tmp_path, main_construction):
     (("steps", 0, "at", 0, 1), "1", "steps[0].at[0][1] must be an integer"),
     (("steps", 0, "at", 0, 1), True, "steps[0].at[0][1] must be an integer"),
     (("steps", 0, "at", 0), ["B"], "steps[0].at[0] must have two entries"),
-    (("base_curves", "B"), [1, 0.5], "base_curves.B[1] must be an integer"),
+    (("base_curves", "B"), [1, 0.5], "base_curves.B must be an integer"),
     (("base_curves", "B"), True, "base_curves.B must be an integer"),
     (("base_curves", "B"), "1", "base_curves.B must be an integer"),
     (("expectations", 0, "after_step"), 1.7,
@@ -724,32 +736,17 @@ def test_a_script_making_too_many_curves_exits_2(capsys, tmp_path, main_raw):
 
 
 def test_verify_at_the_curve_bound_runs_in_bounded_memory(tmp_path, main_raw):
-    # The process's own peak RSS; a build that copied the pairing at every
-    # blow-up peaked at about 69 MiB here.  It is read as VmHWM, since
-    # ru_maxrss keeps the peak of the process that started this one, here
-    # the test runner's.  The free blow-ups that pad main_k3 to the bound
-    # break its recorded counts and relations.
+    # A build that copied the pairing at every blow-up peaked at about
+    # 69 MiB here.  The free blow-ups that pad main_k3 to the bound break
+    # its recorded counts and relations.
     main_raw["steps"] += [{"at": []}] * (
         MAX_CURVES - len(main_raw["base_curves"]) - len(main_raw["steps"]))
     path = tmp_path / "padded.json"
     path.write_text(json.dumps(main_raw))
-    script = (
-        "import re, sys\n"
-        "from blowdown import cli\n"
-        "code = cli.main(sys.argv[1:])\n"
-        "sys.stdout.flush()\n"
-        "with open('/proc/self/status') as status:\n"
-        "    rss = re.search(r'VmHWM:\\s*(\\d+) kB', status.read())[1]\n"
-        "print(rss, file=sys.stderr)\n"
-        "sys.exit(code)\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", script, "verify", "--dataset", str(path)],
-        capture_output=True, text=True,
-    )
+    result, peak_kib = run_cli_peak_rss("verify", "--dataset", str(path))
     assert result.returncode == 1
     assert "[FAIL] invariants" in result.stdout
-    assert int(result.stderr) < 64 * 1024  # KiB
+    assert peak_kib < 64 * 1024
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]])

@@ -112,22 +112,21 @@ def test_discrepancy_sum_for_wahl_chains(main_construction, main_model):
 def test_k_squared_gain_general_form():
     for bs in [(4,), (3, 3), (3, 2, 3), (9, 2, 2, 2, 2, 2), (2, 6, 2, 3)]:
         d, n, a = general_params(bs)
-        assert k_squared_gain(bs) == len(bs) - d + 1
+        assert k_squared_gain(bs, chain_discrepancies(bs)) == len(bs) - d + 1
 
 
 def test_check_artin_certificates(main_construction, main_model):
     cert = check_artin(main_model, main_construction.chains)
     assert cert.cross_violations == ()
+    assert cert.ok
     assert len(cert.chains) == 4
     by_label = {c.label: c for c in cert.chains}
     for emb in main_construction.chains:
         chain_cert = by_label[emb.label]
-        assert chain_cert.negative_definite
         # Negative definiteness is witnessed by strictly alternating minors.
         for i, minor in enumerate(chain_cert.minors, start=1):
             assert minor * (-1) ** i > 0
-        assert abs(chain_cert.determinant) == chain_cert.expected_determinant
-        assert chain_cert.expected_determinant == emb.p * emb.p
+        assert abs(chain_cert.minors[-1]) == emb.p * emb.p
 
 
 def test_contracted_k_squared(
@@ -153,7 +152,8 @@ def test_pullback_decomposes_with_discrepancy_coefficients(
     # pullback = K_Z + sum of discrepancy multiples of the contracted curves.
     chains = main_construction.chains
     pullback = pullback_canonical(
-        main_model, chains, [matched_shape(main_model, emb) for emb in chains]
+        main_model, chains,
+        [chain_discrepancies(matched_shape(main_model, emb)) for emb in chains],
     )
     correction = pullback - main_model.canonical
     names = contracted_names(main_construction)

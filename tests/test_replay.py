@@ -28,6 +28,7 @@ from blowdown import (
     parse_construction,
     parse_script,
     run_script,
+    tchains,
     verify,
 )
 
@@ -193,6 +194,19 @@ def test_one_verify_replays_once(count_calls, main_construction):
         emb.curves for emb in main_construction.chains
     ]
     assert len(closures) == 1
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_solves_each_chain_once(count_calls, main_construction,
+                                             command):
+    # Replay.discrepancies is the one solve: the pullback and the K^2 gain
+    # of the discrepancies check read it.
+    solves = count_calls(tchains.chain_discrepancies)
+    rc, _ = run_json(command, "main_k3")
+    assert rc == 0
+    assert [args[0] for args in solves] == [
+        emb.chain for emb in main_construction.chains
+    ]
 
 
 def test_contracted_k_squared_is_computed_once(monkeypatch, main_construction):

@@ -43,7 +43,7 @@ from .lattice import (
     grade_checkpoints,
     run_script,
 )
-from .tchains import chain_discrepancies, k_squared_gain
+from .tchains import chain_discrepancies
 from .topology import (
     ConnectionGraph,
     GraphEdge,
@@ -56,6 +56,7 @@ from .topology import (
 __all__ = [
     "DATA_ENV",
     "MAX_CURVES",
+    "MAX_INTEGER",
     "STAGE_ERRORS",
     "Construction",
     "CheckResult",
@@ -80,6 +81,13 @@ together.  The model holds the pairing of each ordered pair of named
 curves, so its size grows as the square of this count: ``verify`` on 500
 curves peaks at about 50 MiB and takes about 0.25 s, ``invariants`` about
 0.1 s (Python 3.11, 2-vCPU Xeon)."""
+
+MAX_INTEGER = 10**6
+"""Largest degree, multiplicity, graph ``p``, ``q`` or ``order`` and edge
+power a file may give; the datasets use at most 141.  A curve's
+coordinates are such values, so every minor that the expansion over up to
+:data:`MAX_CURVES` curves computes stays below Python's 4300-digit limit
+for printing an integer."""
 
 
 def data_dir() -> Path:
@@ -197,9 +205,12 @@ def _number(value, path: str) -> Fraction:
 
 
 def _count(value, path: str) -> int:
-    """A positive integer field; errors name its path."""
+    """A positive integer field of at most :data:`MAX_INTEGER`; errors name
+    its path."""
     if _typed(value, int, path) < 1:
         raise ValueError(f"{path} must be positive, got {value}")
+    if value > MAX_INTEGER:
+        raise ValueError(f"{path} must be at most {MAX_INTEGER}")
     return value
 
 
@@ -867,20 +878,7 @@ def _artin_check(replay: Replay, grade: _Grade):
 def _discrepancy_check(replay: Replay, grade: _Grade):
     construction = replay.construction
     recorded_tables = construction.expected.get("discrepancies", {})
-    for emb, bs, ds in zip(construction.chains, replay.shapes, replay.discrepancies):
-        if not all(0 < d < 1 for d in ds):
-            grade.fail(
-                f"{emb.label}: discrepancies {list(map(str, ds))} "
-                "leave the open interval (0, 1)"
-            )
-            continue
-        gain = k_squared_gain(bs, ds)
-        if gain != len(bs):
-            grade.fail(
-                f"{emb.label}: sum of d_i (b_i - 2) is {gain}, "
-                f"expected the chain length {len(bs)}"
-            )
-            continue
+    for emb, ds in zip(construction.chains, replay.discrepancies):
         line = f"{emb.label}: ({', '.join(str(d) for d in ds)})"
         recorded = recorded_tables.get(emb.label)
         if recorded is None:
@@ -1045,11 +1043,11 @@ def _invariants_check(replay: Replay, grade: _Grade):
             grade.note(f"{label}: {actual}")
         else:
             grade.fail(f"{label}: computed {actual}, recorded {recorded}")
+    # The K^2 check grades K^2 = 9 - n + L; this line only restates it.
     terms = f"{summary.k_squared} + {summary.euler}"
-    if summary.noether_ok:
-        grade.note(f"Noether relation holds: {terms} = 12 * {summary.chi}")
-    else:
-        grade.fail(f"Noether relation fails: {terms} != 12 * {summary.chi}")
+    grade.note(f"Noether relation holds: {terms} = 12 * {summary.chi}"
+               if summary.noether_ok else
+               f"Noether relation fails: {terms} != 12 * {summary.chi}")
     grade.note(f"parity reason: {summary.parity_reason}")
 
 

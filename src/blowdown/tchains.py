@@ -20,8 +20,8 @@ implemented here so each can check the other.  The generator
 the right move sends it to ``(d, n + a, a)``.  The search in
 :func:`general_params` derives the same triple from the fraction alone.
 :func:`wahl_chain` is the one reading of a pair ``C(p, q)`` into its chain,
-and the arithmetic of a bare chain (discrepancies, ``K^2`` gain, meridian
-powers) is here too.
+and the arithmetic of a bare chain (discrepancies, meridian powers) is
+here too.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ __all__ = [
     "wahl_chain_length",
     "wahl_chain",
     "chain_discrepancies",
-    "k_squared_gain",
     "meridian_powers",
 ]
 
@@ -424,18 +423,6 @@ def chain_discrepancies(bs: Sequence[int]) -> tuple[Fraction, ...]:
     det, top = qs[-1], -ss[-1]
     return (Fraction(top, det),) + tuple(
         Fraction(q * top + s * det, det) for q, s in zip(qs, ss[:-1])
-    )
-
-
-def k_squared_gain(bs: Sequence[int], ds: Sequence[Fraction]) -> Fraction:
-    """How much contracting the chain raises the canonical self-intersection,
-    given its discrepancies ``ds`` (:func:`chain_discrepancies`).
-
-    Equals ``sum_i d_i (b_i - 2)``; for a Wahl chain this is the chain
-    length, an integer.
-    """
-    return sum(
-        (d * (b - 2) for d, b in zip(ds, bs)), Fraction(0)
     )
 
 

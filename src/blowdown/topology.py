@@ -198,7 +198,6 @@ def _parity(
     model: SurfaceModel,
     embeddings: Sequence[ChainEmbedding],
     signature: int,
-    b2_plus: int,
     b2_minus: int,
 ) -> tuple[str, str]:
     """Decide whether the surgered intersection form is odd.
@@ -222,7 +221,7 @@ def _parity(
                 f"curve {name} survives the contraction with odd "
                 f"self-intersection {self_int}",
             )
-    if b2_plus >= 1 and b2_minus >= 1 and signature % 8 != 0:
+    if b2_minus >= 1 and signature % 8 != 0:
         return (
             "odd",
             f"signature {signature} is not divisible by 8, which an even "
@@ -239,37 +238,37 @@ def blowdown_invariants(
 ) -> SurfaceSummary:
     """Invariants of the surface after rationally blowing down the chains.
 
-    Each chain neighbourhood (Euler characteristic ``k + 1``, signature
-    ``-k``) is traded for a rational ball (Euler characteristic 1,
-    signature 0), so the Euler characteristic drops by ``k`` per chain and
-    the signature rises by ``k``.  ``k_squared`` is the square of the
-    contraction pullback, and ``pi1_trivial`` the verdict of the closure
-    (``None`` without a connection graph).  Holomorphic invariants follow
-    from the signature theorem and are cross-checked against the Noether
-    relation.
+    Each chain of ``k`` curves spans a neighbourhood of Euler
+    characteristic ``k + 1`` and signature ``-k``; the surgery trades it
+    for a rational ball (Euler characteristic 1, signature 0).  The plane
+    blown up ``n`` times has ``e = 3 + n`` and ``sigma = 1 - n``, so with
+    ``L`` contracted curves in all
+
+        e = 3 + n - L,  sigma = 1 - n + L,  b2+ = chi = 1,
+        b2- = n - L,    and Noether's 12 chi = K^2 + e says K^2 = 9 - n + L.
+
+    ``k_squared`` is the square of the contraction pullback, checked here
+    against the last identity, and ``pi1_trivial`` the verdict of the
+    closure (``None`` without a connection graph).
     """
+    n = model.blowup_count
     total_length = sum(len(emb.curves) for emb in embeddings)
-    euler = 3 + model.blowup_count - total_length
-    signature = (1 - model.blowup_count) + total_length
-    b2 = model.lattice_rank - total_length
-    # b2 + signature = 2 and euler + signature = 4, so the divisions are
-    # exact and b2_plus = chi = 1.
-    b2_plus = (b2 + signature) // 2
-    b2_minus = (b2 - signature) // 2
+    euler = 3 + n - total_length
+    signature = 1 - n + total_length
+    b2_minus = n - total_length
     if b2_minus < 0:
         raise ValueError(
-            f"signature {signature} out of range for b2 = {b2}"
+            f"{total_length} contracted curves exceed the {n} blow-ups"
         )
-    chi = (euler + signature) // 4
-    noether_ok = k_squared + euler == 12 * chi
-    parity, parity_reason = _parity(model, embeddings, signature, b2_plus, b2_minus)
+    noether_ok = k_squared + euler == 12
+    parity, parity_reason = _parity(model, embeddings, signature, b2_minus)
     return SurfaceSummary(
         k_squared=k_squared,
         euler=euler,
         signature=signature,
-        b2_plus=b2_plus,
+        b2_plus=1,
         b2_minus=b2_minus,
-        chi=chi,
+        chi=1,
         noether_ok=noether_ok,
         parity=parity,
         parity_reason=parity_reason,
@@ -289,10 +288,9 @@ def fingerprint(summary: SurfaceSummary) -> Union[str, None]:
         return None
     if summary.parity != "odd":
         return None
-    if summary.b2_plus < 1 or summary.b2_minus < 1:
+    if summary.b2_minus < 1:
         return None
-    plus = "P2" if summary.b2_plus == 1 else f"{summary.b2_plus} P2"
-    return f"{plus} # {summary.b2_minus} P2bar"
+    return f"P2 # {summary.b2_minus} P2bar"
 
 
 def rationality_exclusion(

@@ -11,8 +11,8 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from blowdown import (MAX_CURVES, cli, parse_construction, parse_script,
-                      read_dataset)
+from blowdown import (MAX_CURVES, MAX_INTEGER, cli, parse_construction,
+                      parse_script, read_dataset)
 from blowdown.cli import MAX_CHAIN_LENGTH, MAX_GEN_LENGTH
 from blowdown.tchains import ClassTResult, apply_moves, hj_expand
 
@@ -277,10 +277,16 @@ def test_pi1_graph_file(tmp_path):
     ({"nodes": [{"name": "A", "order": 4}],
       "edges": [{"a": "A", "b": "X", "power_a": 1, "power_b": 1}]},
      "graph.edges[0].b is 'X', an unknown node"),
+    # A lens space order of p^2 would exceed Python's 4300-digit limit for
+    # printing an integer.
+    ({"nodes": [{"name": "A", "p": 10**2200, "q": 1}, {"name": "B", "order": 4}],
+      "edges": [{"a": "A", "b": "B", "power_a": 1, "power_b": 1}]},
+     f"graph.nodes[0].p must be at most {MAX_INTEGER}"),
 ], ids=["nodes_not_a_list", "no_edges", "node_without_name", "node_not_object",
         "edge_without_b", "edge_without_a", "node_name_not_a_string",
         "edge_end_not_a_string", "reconstructed_not_a_boolean",
-        "duplicate_node_name", "edge_a_unknown", "edge_b_unknown"])
+        "duplicate_node_name", "edge_a_unknown", "edge_b_unknown",
+        "node_p_too_large"])
 def test_malformed_graph_file_names_the_field(tmp_path, graph, message):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(graph))
@@ -460,6 +466,7 @@ def test_recorded_table_that_is_an_array_exits_2(tmp_path, main_construction):
      "steps[0].at[1][0] lists 'B' a second time in one centre"),
     (("steps", 1, "name"), "e1", "steps[1].name 'e1' is already the name of a curve"),
     (("base_curves", "A"), 0, "base_curves.A must be positive, got 0"),
+    (("base_curves", "A"), 10**2200, f"base_curves.A must be at most {MAX_INTEGER}"),
     (("expectations", 3, "after_step"), 99,
      "expectations[3].after_step refers to step 99, but the script has 30 steps"),
     # A number string is ASCII digits, with no spaces or separators.
@@ -478,6 +485,7 @@ def test_recorded_table_that_is_an_array_exits_2(tmp_path, main_construction):
         "graph_zero", "graph_false", "graph_empty_string", "graph_empty_array",
         "graph_empty_object", "multiplicity_zero", "multiplicity_negative",
         "centre_made_later", "centre_repeated", "step_name_reused", "degree_zero",
+        "degree_too_large",
         "after_step_beyond_script", "number_underscore", "number_spaces",
         "number_fullwidth"])
 def test_malformed_recorded_field_exits_2(write_mutant, main_construction, path,

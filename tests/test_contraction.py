@@ -1,6 +1,7 @@
 """Chain contraction certificates, discrepancies and the canonical pullback."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -13,8 +14,8 @@ from blowdown import (
     expand_in_curves,
     general_params,
     hj_expand,
-    k_squared_gain,
     pullback_canonical,
+    wahl_chain,
 )
 
 
@@ -110,9 +111,21 @@ def test_discrepancy_sum_for_wahl_chains(main_construction, main_model):
 
 
 def test_k_squared_gain_general_form():
+    # Contracting a chain raises K^2 by sum_i d_i (b_i - 2).
     for bs in [(4,), (3, 3), (3, 2, 3), (9, 2, 2, 2, 2, 2), (2, 6, 2, 3)]:
         d, n, a = general_params(bs)
-        assert k_squared_gain(bs, chain_discrepancies(bs)) == len(bs) - d + 1
+        ds = chain_discrepancies(bs)
+        assert sum(d_i * (b - 2) for d_i, b in zip(ds, bs)) == len(bs) - d + 1
+    # For every Wahl chain C(p, q) with p < 120 the discrepancies lie in
+    # (0, 1) and the gain is the chain length, so the discrepancy check
+    # need not test either.
+    pairs = [(p, q) for p in range(2, 120) for q in range(1, p) if gcd(p, q) == 1]
+    assert len(pairs) == 4353
+    for p, q in pairs:
+        bs = wahl_chain(p, q)
+        ds = chain_discrepancies(bs)
+        assert all(0 < d_i < 1 for d_i in ds), (p, q)
+        assert sum(d_i * (b - 2) for d_i, b in zip(ds, bs)) == len(bs), (p, q)
 
 
 def test_check_artin_certificates(main_construction, main_model):

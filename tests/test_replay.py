@@ -2,6 +2,7 @@
 arithmetic, and each stage computed once."""
 
 import argparse
+import ast
 import io
 import json
 import re
@@ -123,6 +124,29 @@ def test_envelopes_and_classes_stay_exact(dataset, write_mutant, request):
     mutant = write_mutant(construction, ("chains", 0, "q"),
                           construction.chains[0].q + 1)
     assert_exact_envelope(run_json("verify", "--dataset", mutant)[1], construction)
+
+
+EXACT_MATH = {"gcd", "lcm", "isqrt"}
+
+
+def test_sources_use_no_floats():
+    """No module of the package writes a float or complex literal, names
+    ``float``, or imports from ``math`` anything but integer functions."""
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+                found.append(f"{where}: literal {node.value!r}")
+            elif isinstance(node, ast.Name) and node.id == "float":
+                found.append(f"{where}: name float")
+            elif isinstance(node, ast.Import):
+                found += [f"{where}: import {alias.name}" for alias in node.names
+                          if alias.name.split(".")[0] == "math"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found += [f"{where}: from math import {alias.name}"
+                          for alias in node.names if alias.name not in EXACT_MATH]
+    assert not found, found
 
 
 @st.composite

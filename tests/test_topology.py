@@ -1,6 +1,7 @@
 """Boundary lens spaces, the fundamental group closure and surface invariants."""
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 
 from blowdown import (
     Replay,
+    blowdown_invariants,
     continuants,
     fingerprint,
     hj_expand,
@@ -192,6 +194,30 @@ def test_blowdown_invariants_k4(k4_construction):
     assert summary.signature == -4
     assert (summary.b2_plus, summary.b2_minus) == (1, 5)
     assert summary.fingerprint == "P2 # 5 P2bar"
+
+
+@pytest.mark.parametrize("dataset", ["main_construction", "pencil2_construction",
+                                     "k4_construction"])
+def test_closed_forms_match_the_lattice_on_every_chain_subset(request, dataset):
+    """The invariants stated in (n, L) agree with the lattice's rank, the
+    signature and the contracted K^2 when any nonempty subset of the chains
+    is blown down."""
+    construction = request.getfixturevalue(dataset)
+    chains = construction.chains
+    for size in range(1, len(chains) + 1):
+        for subset in itertools.combinations(chains, size):
+            replay = Replay(dataclasses.replace(construction, chains=subset,
+                                                graph=None))
+            model, summary = replay.model, replay.summary
+            length = sum(len(emb.curves) for emb in subset)
+            b2_plus, b2_minus = summary.b2_plus, summary.b2_minus
+            assert b2_plus + b2_minus == model.lattice_rank - length
+            assert b2_plus - b2_minus == summary.signature
+            assert summary.euler == 2 + b2_plus + b2_minus
+            gain = replay.k_squared - model.canonical_self_intersection()
+            assert summary.noether_ok == (gain == length)
+            off = blowdown_invariants(model, subset, replay.k_squared + 1, None)
+            assert not off.noether_ok
 
 
 def test_fingerprint_requires_trivial_pi1(main_construction):

@@ -12,21 +12,21 @@ Run:  python3 demos/04_topology.py
 
 from blowdown import (
     Replay,
-    chain_determinant,
-    hj_expand,
+    continuants,
     load_construction,
     meridian_powers,
     pi1_closure,
+    wahl_chain,
 )
 
 print("The C(7,1) chain, whose neighbourhood bounds the lens space L(49, 6):")
-chain = hj_expand(49, 6)
-print(f"  chain {chain}, determinant {chain_determinant(chain)} = |pi1 L(49, 6)|")
+chain = wahl_chain(7, 1)
+print(f"  chain {chain}, determinant {continuants(chain)[-1]} = |pi1 L(49, 6)|")
 print("  the rational ball glued in its place has euler = 1, signature = 0, |H1| = 7")
 print()
 
 print("Meridian exponents along the C(7,1) chain (generator at the last curve):")
-print(f"  {meridian_powers(hj_expand(49, 6))}")
+print(f"  {meridian_powers(chain)}")
 print()
 
 construction = load_construction("main_k3")

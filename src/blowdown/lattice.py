@@ -67,10 +67,6 @@ class DivisorClass:
                 )
                 object.__setattr__(self, "denominator", den // common)
 
-    @property
-    def lattice_rank(self) -> int:
-        return len(self.coords)
-
     def dot(self, other: "DivisorClass") -> Rational:
         a, b = self.coords, other.coords
         if len(a) != len(b):

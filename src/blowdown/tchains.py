@@ -11,24 +11,23 @@ continued fraction
 
 Chains of class T are the ones whose contraction admits a smoothing with
 Milnor number zero.  They are generated from ``(4,)`` and
-``(3, 2, ..., 2, 3)`` by two end moves, and are equivalently characterised
-by an arithmetic normal form ``dn^2 / (dna - 1)``; both descriptions are
-implemented here so each can check the other.  The generator
-:func:`iter_class_t` carries ``(d, n, a)`` along the moves: a base
-``(4,)`` is ``(1, 2, 1)``, a base ``(3, 2, ..., 2, 3)`` of length ``L`` is
-``(L, 2, 1)``, the left move sends ``(d, n, a)`` to ``(d, 2n - a, n)`` and
-the right move sends it to ``(d, n + a, a)``.  The search in
-:func:`general_params` derives the same triple from the fraction alone.
-:func:`wahl_chain` is the one reading of a pair ``C(p, q)`` into its chain,
-and the arithmetic of a bare chain (discrepancies, meridian powers) is
-here too.
+``(3, 2, ..., 2, 3)`` by two end moves, and their fractions are exactly
+the ``dn^2 / (dna - 1)`` with ``n >= 2``, ``0 < a < n`` and
+``gcd(a, n) == 1`` (Kollar and Shepherd-Barron, Invent. Math. 91, 1988).
+Only the moves are implemented here.  The generator :func:`iter_class_t`
+carries ``(d, n, a)`` along them: a base ``(4,)`` is ``(1, 2, 1)``, a base
+``(3, 2, ..., 2, 3)`` of length ``L`` is ``(L, 2, 1)``, the left move
+sends ``(d, n, a)`` to ``(d, 2n - a, n)`` and the right move sends it to
+``(d, n + a, a)``.  :func:`wahl_chain` is the one reading of a pair
+``C(p, q)`` into its chain, and the arithmetic of a bare chain
+(discrepancies, meridian powers) is here too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Iterator, Sequence
+from math import gcd
+from typing import Iterator, NamedTuple, Sequence
 
 MAX_CHAIN_LENGTH = 1000
 """Longest chain of ``p^2/(pq - 1)`` that :func:`wahl_chain` expands (the
@@ -38,20 +37,12 @@ chain's length grows like ``p/q``), and longest chain that
 __all__ = [
     "MAX_CHAIN_LENGTH",
     "hj_expand",
-    "hj_value",
     "fraction_terms",
     "continuants",
-    "chain_determinant",
-    "extend_left",
-    "extend_right",
     "chain_bases",
     "ClassTResult",
     "classify_chain",
-    "is_class_t",
     "iter_class_t",
-    "generate_class_t",
-    "general_params",
-    "wahl_params",
     "wahl_chain_length",
     "wahl_chain",
     "chain_discrepancies",
@@ -90,7 +81,7 @@ def hj_expand(p: int, q: int) -> tuple[int, ...]:
 
 
 def fraction_terms(bs: Sequence[int]) -> tuple[int, int]:
-    """Numerator and denominator of :func:`hj_value`, in integers.
+    """Numerator and denominator of ``b_1 - 1/(b_2 - 1/(...))``, in integers.
 
     They are the continuants of the chain and of the chain without its
     first entry (1 for a single curve).  Consecutive continuants are
@@ -104,21 +95,13 @@ def fraction_terms(bs: Sequence[int]) -> tuple[int, int]:
     return cur, prev
 
 
-def hj_value(bs: Sequence[int]) -> Fraction:
-    """Evaluate ``b_1 - 1/(b_2 - 1/(...))`` exactly.
-
-    The result is the fraction ``p/q`` in lowest terms; its numerator is
-    the determinant of the chain's (positive-definite) intersection matrix.
-    """
-    return Fraction(*fraction_terms(bs))
-
-
 def continuants(bs: Sequence[int]) -> tuple[int, ...]:
     """Partial denominators ``q_1, ..., q_k`` of the chain.
 
     These satisfy ``q_j = b_j q_{j-1} - q_{j-2}`` with ``q_0 = 1`` and are
     all positive when every entry is at least 2; ``q_k`` equals the
-    numerator of :func:`hj_value`.
+    numerator of :func:`fraction_terms`, the absolute determinant of the
+    chain's intersection matrix.
     """
     chain = _validate_chain(bs)
     prev, cur = 0, 1
@@ -129,27 +112,12 @@ def continuants(bs: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def chain_determinant(bs: Sequence[int]) -> int:
-    """Absolute determinant of the chain's intersection matrix."""
-    return continuants(bs)[-1]
-
-
 def _left(chain: tuple[int, ...]) -> tuple[int, ...]:
     return (2,) + chain[:-1] + (chain[-1] + 1,)
 
 
 def _right(chain: tuple[int, ...]) -> tuple[int, ...]:
     return (chain[0] + 1,) + chain[1:] + (2,)
-
-
-def extend_left(bs: Sequence[int]) -> tuple[int, ...]:
-    """Prepend a ``-2`` curve and steepen the far end."""
-    return _left(_validate_chain(bs))
-
-
-def extend_right(bs: Sequence[int]) -> tuple[int, ...]:
-    """Append a ``-2`` curve and steepen the near end."""
-    return _right(_validate_chain(bs))
 
 
 _MOVES = {
@@ -184,7 +152,7 @@ def _is_base(chain: tuple[int, ...]) -> bool:
     )
 
 
-class ClassTResult:
+class ClassTResult(NamedTuple):
     """Outcome of :func:`classify_chain`.
 
     ``kind`` is one of ``"base"``, ``"derived"``, ``"rdp"`` (a string of
@@ -194,17 +162,10 @@ class ClassTResult:
     reproduces the chain.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        chain: tuple[int, ...],
-        base: "tuple[int, ...] | None" = None,
-        moves: tuple[str, ...] = (),
-    ) -> None:
-        self.kind = kind
-        self.chain = chain
-        self.base = base
-        self.moves = moves
+    kind: str
+    chain: tuple[int, ...]
+    base: "tuple[int, ...] | None" = None
+    moves: tuple[str, ...] = ()
 
     @property
     def is_class_t(self) -> bool:
@@ -220,12 +181,6 @@ class ClassTResult:
         for move in self.moves:
             params = _MOVES[move][1](*params)
         return params
-
-    def __repr__(self) -> str:
-        return (
-            f"ClassTResult(kind={self.kind!r}, chain={self.chain!r}, "
-            f"base={self.base!r}, moves={self.moves!r})"
-        )
 
 
 def classify_chain(bs: Sequence[int]) -> ClassTResult:
@@ -263,22 +218,6 @@ def classify_chain(bs: Sequence[int]) -> ClassTResult:
             return ClassTResult(kind="not_class_t", chain=chain)
 
 
-def is_class_t(bs: Sequence[int]) -> bool:
-    return classify_chain(bs).is_class_t
-
-
-def apply_moves(
-    base: Sequence[int], moves: Sequence[str]
-) -> tuple[int, ...]:
-    """Apply ``"left"``/``"right"`` moves to a chain in order."""
-    cur = _validate_chain(base)
-    for move in moves:
-        if move not in _MOVES:
-            raise ValueError(f"unknown move {move!r}")
-        cur = _MOVES[move][0](cur)
-    return cur
-
-
 def iter_class_t(
     max_len: int,
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, int, int]]]:
@@ -302,66 +241,6 @@ def iter_class_t(
         level.append((base, _base_params(base)))
         level.sort()
         yield from level
-
-
-def generate_class_t(max_len: int) -> list[tuple[int, ...]]:
-    """Every class T chain of length at most ``max_len``, in the order of
-    :func:`iter_class_t`."""
-    return [chain for chain, _ in iter_class_t(max_len)]
-
-
-def general_params(bs: Sequence[int]) -> tuple[int, int, int]:
-    """The arithmetic normal form ``(d, n, a)`` of a class T chain.
-
-    A chain is of class T exactly when its fraction is
-    ``dn^2 / (dna - 1)`` with ``n >= 2``, ``0 < a < n`` and
-    ``gcd(a, n) == 1``.  Raises ``ValueError`` when no such form exists.
-    This search is independent of the move reduction in
-    :func:`classify_chain`, so the two can be used to cross-check.
-    """
-    value = hj_value(bs)
-    big_n, big_m = value.numerator, value.denominator
-    for n in range(isqrt(big_n), 1, -1):
-        if big_n % (n * n) != 0:
-            continue
-        d = big_n // (n * n)
-        if (big_m + 1) % (d * n) != 0:
-            continue
-        a = (big_m + 1) // (d * n)
-        if 0 < a < n and gcd(a, n) == 1:
-            return (d, n, a)
-    raise ValueError(
-        f"chain {tuple(bs)} has fraction {big_n}/{big_m}, "
-        "which is not of the form dn^2/(dna - 1)"
-    )
-
-
-def wahl_params(bs: Sequence[int]) -> tuple[int, int]:
-    """The ``(p, q)`` with fraction ``p^2 / (pq - 1)``, for a Wahl chain.
-
-    Wahl chains are the ``d == 1`` members of class T.  Raises
-    ``ValueError`` when the determinant is not a perfect square or the
-    cofactor does not match.
-    """
-    value = hj_value(bs)
-    big_n, big_m = value.numerator, value.denominator
-    p = isqrt(big_n)
-    if p * p != big_n:
-        raise ValueError(
-            f"chain {tuple(bs)} has determinant {big_n}, not a perfect square"
-        )
-    if (big_m + 1) % p != 0:
-        raise ValueError(
-            f"chain {tuple(bs)} has fraction {big_n}/{big_m}, "
-            "not of the form p^2/(pq - 1)"
-        )
-    q = (big_m + 1) // p
-    if not 0 < q < p or gcd(p, q) != 1 or p * q - 1 != big_m:
-        raise ValueError(
-            f"chain {tuple(bs)} has fraction {big_n}/{big_m}, "
-            "not of the form p^2/(pq - 1)"
-        )
-    return (p, q)
 
 
 def wahl_chain_length(p: int, q: int) -> int:

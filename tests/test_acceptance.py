@@ -19,7 +19,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 import pytest
 
@@ -27,18 +27,17 @@ from blowdown import (
     Replay,
     chain_discrepancies,
     classify_chain,
-    general_params,
-    generate_class_t,
+    continuants,
+    fraction_terms,
     hj_expand,
-    hj_value,
-    chain_determinant,
+    iter_class_t,
     load_construction,
     parse_construction,
     parse_graph,
     pi1_closure,
     verify,
-    wahl_params,
 )
+from class_t_oracle import general_params, wahl_params
 
 DURATIONS = {}
 
@@ -89,21 +88,13 @@ def timed(fn, *args, repeats=3):
 
 
 def arithmetic_class_t(bs):
-    """Brute-force oracle: some d*n^2/(d*n*a - 1) equals the chain fraction."""
-    value = hj_value(bs)
-    p, q = value.numerator, value.denominator
-    # Any admissible n satisfies n^2 | p and n | q + 1.
-    shared = gcd(p, (q + 1) ** 2)
-    for n in range(2, isqrt(shared) + 1):
-        if shared % (n * n) or p % (n * n) or (q + 1) % n:
-            continue
-        d = p // (n * n)
-        if (q + 1) % (d * n):
-            continue
-        a = (q + 1) // (d * n)
-        if 0 < a < n and gcd(a, n) == 1:
-            return True
-    return False
+    """Whether some d*n^2/(d*n*a - 1) equals the chain fraction, by the
+    test-side search."""
+    try:
+        general_params(bs)
+    except ValueError:
+        return False
+    return True
 
 
 def test_criterion_1_printed_chains():
@@ -260,7 +251,7 @@ def test_criterion_7a_round_trip():
         for q in range(1, p):
             if gcd(p, q) != 1:
                 continue
-            assert hj_value(hj_expand(p, q)) == Fraction(p, q)
+            assert Fraction(*fraction_terms(hj_expand(p, q))) == Fraction(p, q)
             assert wahl_params(hj_expand(p * p, p * q - 1)) == (p, q)
     DURATIONS["7a"] = time.perf_counter() - start
 
@@ -269,12 +260,12 @@ def test_criterion_7b_recognition_agreement():
     start = time.perf_counter()
 
     # Complete positive side: every generated class T chain of length <= 10.
-    positives = generate_class_t(10)
+    positives = [bs for bs, _ in iter_class_t(10)]
     for bs in positives:
         assert classify_chain(bs).is_class_t
         assert arithmetic_class_t(bs)
-        d, n, a = general_params(bs)
-        assert hj_value(bs) == Fraction(d * n * n, d * n * a - 1)
+        d, n, a = classify_chain(bs).params
+        assert Fraction(*fraction_terms(bs)) == Fraction(d * n * n, d * n * a - 1)
     positive_set = set(positives)
 
     # Exhaustive short chains.
@@ -302,9 +293,8 @@ def test_criterion_7b_recognition_agreement():
 
 def test_criterion_7c_weighted_discrepancy_sums():
     start = time.perf_counter()
-    chains = generate_class_t(13)
     wahl_members = 0
-    for bs in chains:
+    for bs, params in iter_class_t(13):
         ds = chain_discrepancies(bs)
         weighted = sum(d * (b - 2) for d, b in zip(ds, bs))
         try:
@@ -314,9 +304,7 @@ def test_criterion_7c_weighted_discrepancy_sums():
         else:
             wahl_members += 1
             assert weighted == len(bs), bs
-        if len(bs) <= 10:
-            d, n, a = general_params(bs)
-            assert weighted == len(bs) - d + 1, bs
+        assert weighted == len(bs) - params[0] + 1, bs
     assert wahl_members > 1000
     DURATIONS["7c"] = time.perf_counter() - start
 
@@ -329,7 +317,7 @@ def test_criterion_7c_weighted_discrepancy_sums():
 def test_criterion_7c_weighted_sums_as_stated():
     start = time.perf_counter()
     failures = []
-    for bs in generate_class_t(13):
+    for bs, _ in iter_class_t(13):
         ds = chain_discrepancies(bs)
         weighted = sum(d * (b - 2) for d, b in zip(ds, bs))
         if weighted != len(bs):
@@ -344,14 +332,14 @@ def test_criterion_7d_chain_determinants():
         for q in range(1, p):
             if gcd(p, q) != 1:
                 continue
-            assert chain_determinant(hj_expand(p * p, p * q - 1)) == p * p
+            assert continuants(hj_expand(p * p, p * q - 1))[-1] == p * p
     DURATIONS["7d"] = time.perf_counter() - start
 
 
 def test_criterion_7e_discrepancy_range():
     start = time.perf_counter()
     checked = 0
-    for bs in generate_class_t(10):
+    for bs, _ in iter_class_t(10):
         for d in chain_discrepancies(bs):
             assert 0 < d < 1
             checked += 1

@@ -13,8 +13,9 @@ import pytest
 
 from blowdown import (MAX_CURVES, MAX_INTEGER, cli, parse_construction,
                       parse_script, read_dataset)
-from blowdown.cli import MAX_CHAIN_LENGTH, MAX_GEN_LENGTH
-from blowdown.tchains import ClassTResult, apply_moves, hj_expand
+from blowdown.cli import MAX_GEN_LENGTH
+from blowdown.tchains import MAX_CHAIN_LENGTH, ClassTResult, hj_expand
+from class_t_oracle import apply_moves
 
 
 def run_cli(*args):

@@ -11,8 +11,8 @@ from blowdown import (
     Replay,
     chain_discrepancies,
     check_artin,
+    classify_chain,
     expand_in_curves,
-    general_params,
     hj_expand,
     pullback_canonical,
     wahl_chain,
@@ -113,7 +113,7 @@ def test_discrepancy_sum_for_wahl_chains(main_construction, main_model):
 def test_k_squared_gain_general_form():
     # Contracting a chain raises K^2 by sum_i d_i (b_i - 2).
     for bs in [(4,), (3, 3), (3, 2, 3), (9, 2, 2, 2, 2, 2), (2, 6, 2, 3)]:
-        d, n, a = general_params(bs)
+        d, n, a = classify_chain(bs).params
         ds = chain_discrepancies(bs)
         assert sum(d_i * (b - 2) for d_i, b in zip(ds, bs)) == len(bs) - d + 1
     # For every Wahl chain C(p, q) with p < 120 the discrepancies lie in

@@ -1,5 +1,6 @@
 """Continued-fraction expansion and class T chain recognition."""
 
+import ast
 import io
 import random
 from contextlib import redirect_stdout
@@ -12,24 +13,25 @@ import pytest
 from hypothesis import given, settings
 
 from blowdown import (
-    chain_determinant,
     classify_chain,
     continuants,
-    extend_left,
-    extend_right,
     fraction_terms,
-    general_params,
-    generate_class_t,
     hj_expand,
-    hj_value,
-    is_class_t,
     iter_class_t,
     wahl_chain_length,
+)
+from blowdown import cli, tchains
+from blowdown.tchains import chain_bases
+from class_t_oracle import (
+    apply_moves,
+    extend_left,
+    extend_right,
+    fold,
+    general_params,
     wahl_params,
 )
-from blowdown import cli
-from blowdown.tchains import apply_moves, chain_bases
 
+ORACLE = Path(__file__).resolve().parent / "class_t_oracle.py"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # Each C(p,q) label denotes the expansion of p^2/(pq - 1).
@@ -92,7 +94,7 @@ def test_hj_expand_rejects_non_integers():
 
 def test_hj_value_inverts_expansion():
     for p, q in coprime_pairs(40):
-        assert hj_value(hj_expand(p, q)) == Fraction(p, q)
+        assert Fraction(*fraction_terms(hj_expand(p, q))) == Fraction(p, q)
 
 
 @given(st_coprime)
@@ -101,7 +103,7 @@ def test_hj_round_trip_property(pair):
     p, q = pair
     bs = hj_expand(p, q)
     assert all(b >= 2 for b in bs)
-    assert hj_value(bs) == Fraction(p, q)
+    assert Fraction(*fraction_terms(bs)) == Fraction(p, q)
 
 
 def test_continuants_recurrence():
@@ -123,8 +125,7 @@ def test_continuant_is_numerator():
 def test_chain_determinant_equals_top_continuant():
     for p, q in coprime_pairs(25):
         bs = hj_expand(p, q)
-        assert chain_determinant(bs) == p
-        assert chain_determinant(bs) == continuants(bs)[-1]
+        assert continuants(bs)[-1] == fraction_terms(bs)[0] == p
 
 
 def test_wahl_expansions_match_table():
@@ -178,7 +179,7 @@ def test_classify_all_twos_is_rdp():
 def test_classify_rejects_non_class_t(bs):
     res = classify_chain(bs)
     assert res.kind == "not_class_t"
-    assert not is_class_t(bs)
+    assert not res.is_class_t
     with pytest.raises(ValueError):
         general_params(bs)
 
@@ -194,11 +195,11 @@ def test_generate_counts():
     expected = 0
     for length in range(1, 7):
         expected += 2**length - 1
-        assert len(generate_class_t(length)) == expected
+        assert len(list(iter_class_t(length))) == expected
 
 
 def test_generate_is_exact_and_distinct():
-    chains = generate_class_t(6)
+    chains = [chain for chain, _ in iter_class_t(6)]
     assert len(set(chains)) == len(chains)
     for bs in chains:
         res = classify_chain(bs)
@@ -223,10 +224,10 @@ def test_general_params_known_values():
 
 
 def test_general_params_defines_the_fraction():
-    for bs in generate_class_t(7):
-        d, n, a = general_params(bs)
+    for bs, _ in iter_class_t(7):
+        d, n, a = classify_chain(bs).params
         assert n >= 2 and 0 < a < n and gcd(a, n) == 1
-        assert hj_value(bs) == Fraction(d * n * n, d * n * a - 1)
+        assert Fraction(*fraction_terms(bs)) == Fraction(d * n * n, d * n * a - 1)
 
 
 def test_wahl_params_known_values():
@@ -242,8 +243,7 @@ def test_wahl_params_rejects_wider_class_t():
 
 
 def test_wahl_members_have_d_one():
-    for bs in generate_class_t(6):
-        d, n, a = general_params(bs)
+    for bs, (d, n, a) in iter_class_t(6):
         try:
             p, q = wahl_params(bs)
         except ValueError:
@@ -262,13 +262,14 @@ def test_wahl_chains_are_class_t(pair):
     assert wahl_params(bs) == (p, q)
 
 
-@given(st.sampled_from(generate_class_t(8)), st.sampled_from(["left", "right"]))
+@given(st.sampled_from([chain for chain, _ in iter_class_t(8)]),
+       st.sampled_from(["left", "right"]))
 def test_moves_preserve_class_t_and_d(bs, move):
     extended = extend_left(bs) if move == "left" else extend_right(bs)
     assert len(extended) == len(bs) + 1
     assert classify_chain(extended).is_class_t
-    d, n, a = general_params(bs)
-    d2, n2, a2 = general_params(extended)
+    d, n, a = classify_chain(bs).params
+    d2, n2, a2 = classify_chain(extended).params
     assert d2 == d
     assert n2 > n
 
@@ -322,20 +323,6 @@ def test_classify_chain_carries_params_from_its_base():
     assert classify_chain((2, 2)).params is None
 
 
-def test_generate_class_t_is_the_chain_projection():
-    assert generate_class_t(9) == [chain for chain, _ in iter_class_t(9)]
-    assert generate_class_t(0) == []
-    chains = generate_class_t(9)
-    assert chains == sorted(chains, key=lambda c: (len(c), c))
-
-
-def fold(bs):
-    value = Fraction(bs[-1])
-    for b in reversed(bs[:-1]):
-        value = b - 1 / value
-    return value
-
-
 def test_integer_hj_value_matches_a_fraction_fold():
     # fraction_terms runs once from the far end; the fold runs from the
     # near end.  Class T chains up to length 10, then seeded random chains
@@ -345,19 +332,10 @@ def test_integer_hj_value_matches_a_fraction_fold():
         tuple(rng.randint(2, 9) for _ in range(rng.randint(1, 10)))
         for _ in range(2000)
     ]
-    for chain in generate_class_t(10) + others:
+    for chain in [chain for chain, _ in iter_class_t(10)] + others:
         value = fold(chain)
-        assert hj_value(chain) == value
         assert fraction_terms(chain) == (value.numerator, value.denominator)
         assert fraction_terms(chain[::-1])[0] == value.numerator
-
-
-def test_tchain_gen_folds_no_fraction(count_calls):
-    calls = [count_calls(fn) for fn in (general_params, wahl_params, hj_value)]
-    rc, text = run_cli_json("tchain", "gen", "--max-len", "10")
-    assert rc == 0
-    assert text.count('"chain"') == 2**11 - 2 - 10
-    assert calls == [[], [], []]
 
 
 def test_wahl_chain_length_needs_no_expansion():
@@ -370,3 +348,28 @@ def test_tchain_records_check_each_carried_triple():
     assert (record["p"], record["q"]) == (3, 2)
     with pytest.raises(ArithmeticError, match=r"fraction 9/5"):
         list(cli._tchain_records([((2, 5), (1, 3, 1))]))
+
+
+def test_tchains_exports_only_what_the_cli_and_the_replay_run():
+    assert sorted(tchains.__all__) == sorted([
+        "MAX_CHAIN_LENGTH", "hj_expand", "fraction_terms", "continuants",
+        "chain_bases", "ClassTResult", "classify_chain", "iter_class_t",
+        "wahl_chain_length", "wahl_chain", "chain_discrepancies",
+        "meridian_powers",
+    ])
+    for name in ("hj_value", "chain_determinant", "extend_left",
+                 "extend_right", "is_class_t", "apply_moves",
+                 "generate_class_t", "general_params", "wahl_params"):
+        with pytest.raises(ImportError):
+            exec(f"from blowdown import {name}", {})
+        assert not hasattr(tchains, name)
+
+
+def test_the_oracle_imports_nothing_from_blowdown():
+    imported = []
+    for node in ast.walk(ast.parse(ORACLE.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported == ["fractions", "math"]

@@ -42,7 +42,7 @@ from .tchains import (
     meridian_powers,
     wahl_chain,
 )
-from .topology import pi1_closure, rationality_exclusion
+from .topology import pi1_closure
 
 __all__ = ["main"]
 
@@ -323,7 +323,7 @@ def _cmd_contract(args, replay: Replay) -> int:
 def _cmd_invariants(args, replay: Replay) -> int:
     construction = replay.construction
     summary = replay.summary
-    excluded, plurigenus = rationality_exclusion(summary.k_squared, summary.chi)
+    plurigenus = summary.second_plurigenus
     result = {
         "construction": construction.name,
         "k_squared": str(summary.k_squared),
@@ -338,7 +338,7 @@ def _cmd_invariants(args, replay: Replay) -> int:
         "pi1_trivial": summary.pi1_trivial,
         "fingerprint": summary.fingerprint,
         "second_plurigenus": str(plurigenus),
-        "rational": not excluded,
+        "rational": plurigenus <= 0,
     }
 
     def text():
@@ -354,7 +354,7 @@ def _cmd_invariants(args, replay: Replay) -> int:
         if summary.fingerprint:
             yield f"  homeomorphism type: {summary.fingerprint}"
         yield (f"  second plurigenus chi + K^2 = {plurigenus}"
-               + (" (not rational)" if excluded else ""))
+               + (" (not rational)" if plurigenus > 0 else ""))
 
     return _emit(args, "invariants", construction.sha256, result, text())
 
@@ -365,7 +365,7 @@ def _cmd_pi1(args, loaded) -> int:
     return _emit(args, "pi1", digest, {
         "trivial": result.trivial,
         "orders": {name: order for name, order in result.orders},
-        "steps": [step.describe() for step in result.steps],
+        "steps": list(result.steps),
         "reconstructed": graph.reconstructed,
     }, result.describe())
 

@@ -4,7 +4,9 @@ Cutting out disjoint chain neighbourhoods and gluing in rational homology
 balls changes a smooth rational surface into a candidate exotic surface.
 This module tracks what survives that surgery: the Euler characteristic and
 signature bookkeeping, a certificate that the fundamental group dies, the
-parity of the intersection form, and the resulting homeomorphism fingerprint.
+parity of the intersection form, the resulting homeomorphism fingerprint
+(:attr:`SurfaceSummary.fingerprint`) and the second plurigenus that rules
+out a rational surface (:attr:`SurfaceSummary.second_plurigenus`).
 
 The fundamental group argument works on a connection graph.  Each node is a
 contracted chain, whose boundary lens space has cyclic fundamental group of
@@ -19,7 +21,6 @@ graphs are read by :func:`blowdown.constructions.parse_graph`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Sequence, Union
 
@@ -30,34 +31,26 @@ __all__ = [
     "GraphNode",
     "GraphEdge",
     "ConnectionGraph",
-    "ClosureStep",
     "Pi1Result",
     "pi1_closure",
     "SurfaceSummary",
     "blowdown_invariants",
-    "fingerprint",
-    "rationality_exclusion",
 ]
 
 
 @dataclass(frozen=True)
 class GraphNode:
-    """One contracted chain: its boundary is the lens space L(p^2, pq-1).
+    """One contracted chain: its boundary is the lens space L(p^2, pq-1),
+    whose fundamental group is cyclic of order ``p^2``.
 
-    A node may instead carry an explicit cyclic order, for graphs that are
-    not backed by chains; such an order need not be a perfect square.
+    A node not backed by a chain gives its cyclic order alone, which need
+    not be a perfect square, and keeps ``p = q = 0``.
     """
 
     name: str
+    order: int
     p: int = 0
     q: int = 0
-    explicit_order: Union[int, None] = None
-
-    @property
-    def order(self) -> int:
-        if self.explicit_order is not None:
-            return self.explicit_order
-        return self.p * self.p
 
 
 @dataclass(frozen=True)
@@ -85,36 +78,13 @@ class ConnectionGraph:
 
 
 @dataclass(frozen=True)
-class ClosureStep:
-    edge_index: int
-    source: str
-    target: str
-    source_order: int
-    multiplier: int
-    power_source: int
-    power_target: int
-    old_order: int
-    new_order: int
-
-    def describe(self) -> str:
-        return (
-            f"edge {self.edge_index} ({self.source} -> {self.target}): "
-            f"meridian power {self.power_source} in {self.source} "
-            f"(order {self.source_order}) generates a subgroup of order "
-            f"{self.multiplier}; order of {self.target} drops from "
-            f"{self.old_order} to gcd({self.old_order}, "
-            f"{self.power_target} * {self.multiplier}) = {self.new_order}"
-        )
-
-
-@dataclass(frozen=True)
 class Pi1Result:
     trivial: bool
     orders: tuple[tuple[str, int], ...]
-    steps: tuple[ClosureStep, ...]
+    steps: tuple[str, ...]
 
     def describe(self) -> list[str]:
-        lines = [step.describe() for step in self.steps]
+        lines = list(self.steps)
         final = ", ".join(f"{name}: {order}" for name, order in self.orders)
         lines.append(f"final orders: {final}")
         lines.append(
@@ -133,12 +103,13 @@ def pi1_closure(graph: ConnectionGraph) -> Pi1Result:
     generator has order ``m`` in the current quotient, then node ``b``'s
     order divides ``gcd(o_b, w_b * m)``.  Edges are replayed in their given
     order, both directions, until no more forcing occurs; the step log is
-    therefore deterministic.  Triviality of every cyclic factor certifies
-    that the glued manifold is simply connected, provided the ambient
-    complement contributes no extra generators.
+    therefore deterministic, and each forcing step is logged as one line.
+    Triviality of every cyclic factor certifies that the glued manifold is
+    simply connected, provided the ambient complement contributes no extra
+    generators.
     """
     orders = {node.name: node.order for node in graph.nodes}
-    steps: list[ClosureStep] = []
+    steps: list[str] = []
     changed = True
     while changed:
         changed = False
@@ -152,17 +123,11 @@ def pi1_closure(graph: ConnectionGraph) -> Pi1Result:
                 new = gcd(o_tgt, w_tgt * multiplier)
                 if new < o_tgt:
                     steps.append(
-                        ClosureStep(
-                            edge_index=index,
-                            source=src,
-                            target=tgt,
-                            source_order=o_src,
-                            multiplier=multiplier,
-                            power_source=w_src,
-                            power_target=w_tgt,
-                            old_order=o_tgt,
-                            new_order=new,
-                        )
+                        f"edge {index} ({src} -> {tgt}): meridian power "
+                        f"{w_src} in {src} (order {o_src}) generates a "
+                        f"subgroup of order {multiplier}; order of {tgt} "
+                        f"drops from {o_tgt} to gcd({o_tgt}, "
+                        f"{w_tgt} * {multiplier}) = {new}"
                     )
                     orders[tgt] = new
                     changed = True
@@ -188,10 +153,20 @@ class SurfaceSummary:
     parity: str
     parity_reason: str
     pi1_trivial: Union[bool, None]
+    second_plurigenus: Rational
 
     @property
     def fingerprint(self) -> Union[str, None]:
-        return fingerprint(self)
+        """Homeomorphism type read off the classification of simply
+        connected four-manifolds, when the hypotheses are all certified.
+
+        An odd indefinite form of type ``(a, b)`` is diagonal, so a simply
+        connected surface carrying it is homeomorphic to the connected sum
+        of ``a`` projective planes and ``b`` reversed ones.
+        """
+        if self.pi1_trivial is not True or self.parity != "odd" or self.b2_minus < 1:
+            return None
+        return f"P2 # {self.b2_minus} P2bar"
 
 
 def _parity(
@@ -247,9 +222,13 @@ def blowdown_invariants(
         e = 3 + n - L,  sigma = 1 - n + L,  b2+ = chi = 1,
         b2- = n - L,    and Noether's 12 chi = K^2 + e says K^2 = 9 - n + L.
 
-    ``k_squared`` is the square of the contraction pullback, checked here
-    against the last identity, and ``pi1_trivial`` the verdict of the
-    closure (``None`` without a connection graph).
+    ``k_squared`` is the square of the contraction pullback.  Whether it
+    meets the last identity is only recorded, in ``noether_ok``; the
+    replay grades a recorded ``k_squared`` in its ``k_squared`` check
+    alone.  ``pi1_trivial`` is the verdict of the closure (``None``
+    without a connection graph).  For a minimal surface of general type
+    the second plurigenus is ``chi + K^2``; a positive value rules out a
+    rational surface, whose plurigenera all vanish.
     """
     n = model.blowup_count
     total_length = sum(len(emb.curves) for emb in embeddings)
@@ -262,45 +241,17 @@ def blowdown_invariants(
         )
     noether_ok = k_squared + euler == 12
     parity, parity_reason = _parity(model, embeddings, signature, b2_minus)
+    chi = 1
     return SurfaceSummary(
         k_squared=k_squared,
         euler=euler,
         signature=signature,
         b2_plus=1,
         b2_minus=b2_minus,
-        chi=1,
+        chi=chi,
         noether_ok=noether_ok,
         parity=parity,
         parity_reason=parity_reason,
         pi1_trivial=pi1_trivial,
+        second_plurigenus=chi + k_squared,
     )
-
-
-def fingerprint(summary: SurfaceSummary) -> Union[str, None]:
-    """Homeomorphism type read off the classification of simply connected
-    four-manifolds, when the hypotheses are all certified.
-
-    An odd indefinite form of type ``(a, b)`` is diagonal, so a simply
-    connected surface carrying it is homeomorphic to the connected sum of
-    ``a`` projective planes and ``b`` reversed ones.
-    """
-    if summary.pi1_trivial is not True:
-        return None
-    if summary.parity != "odd":
-        return None
-    if summary.b2_minus < 1:
-        return None
-    return f"P2 # {summary.b2_minus} P2bar"
-
-
-def rationality_exclusion(
-    k_squared: Union[int, Fraction], chi: Union[int, Fraction]
-) -> tuple[bool, Fraction]:
-    """Second plurigenus test separating the surface from rational ones.
-
-    For a minimal surface of general type the second plurigenus equals
-    ``chi + K^2``; any positive value is impossible for a rational surface,
-    whose plurigenera all vanish.  Returns the verdict and the plurigenus.
-    """
-    value = Fraction(chi) + Fraction(k_squared)
-    return value > 0, value

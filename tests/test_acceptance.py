@@ -228,8 +228,11 @@ def test_criterion_6_pi1_closure():
     construction = load_construction("main_k3")
     result = pi1_closure(construction.graph)
     assert result.trivial
-    first = result.steps[0].describe()
-    assert "361" in first and "1225" in first
+    assert result.steps[0] == (
+        "edge 1 (C(19,5) -> C(35,6)): meridian power 1 in C(19,5) (order 361) "
+        "generates a subgroup of order 361; order of C(35,6) drops from 1225 "
+        "to gcd(1225, 1 * 361) = 1"
+    )
 
     control = pi1_closure(
         parse_graph(

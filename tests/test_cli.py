@@ -283,11 +283,14 @@ def test_pi1_graph_file(tmp_path):
     ({"nodes": [{"name": "A", "p": 10**2200, "q": 1}, {"name": "B", "order": 4}],
       "edges": [{"a": "A", "b": "B", "power_a": 1, "power_b": 1}]},
      f"graph.nodes[0].p must be at most {MAX_INTEGER}"),
+    # A node gives its order or its chain's p and q, never both.
+    ({"nodes": [{"name": "A", "order": 4, "p": "junk", "q": [1]}], "edges": []},
+     "graph.nodes[0] gives both order and p/q"),
 ], ids=["nodes_not_a_list", "no_edges", "node_without_name", "node_not_object",
         "edge_without_b", "edge_without_a", "node_name_not_a_string",
         "edge_end_not_a_string", "reconstructed_not_a_boolean",
         "duplicate_node_name", "edge_a_unknown", "edge_b_unknown",
-        "node_p_too_large"])
+        "node_p_too_large", "node_order_and_p_q"])
 def test_malformed_graph_file_names_the_field(tmp_path, graph, message):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(graph))
@@ -452,6 +455,7 @@ def test_recorded_table_that_is_an_array_exits_2(tmp_path, main_construction):
     (("graph", "reconstructed"), "no", "graph.reconstructed must be a boolean"),
     (("graph", "nodes", 0, "name"), 5, "graph.nodes[0].name must be a string"),
     (("graph", "edges", 0, "a"), 5, "graph.edges[0].a must be a string"),
+    (("graph", "nodes", 0, "order"), 1, "graph.nodes[0] gives both order and p/q"),
     # Only a missing or null graph means the dataset has none.
     (("graph",), 0, "graph must be an object"),
     (("graph",), False, "graph must be an object"),
@@ -483,6 +487,7 @@ def test_recorded_table_that_is_an_array_exits_2(tmp_path, main_construction):
         "after_step_float", "self_int_float", "intersection_bool",
         "name", "title", "citation", "fiber_expansion", "cite",
         "graph_reconstructed", "graph_node_name", "graph_edge_end",
+        "graph_node_order_and_p_q",
         "graph_zero", "graph_false", "graph_empty_string", "graph_empty_array",
         "graph_empty_object", "multiplicity_zero", "multiplicity_negative",
         "centre_made_later", "centre_repeated", "step_name_reused", "degree_zero",

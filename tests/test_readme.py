@@ -34,7 +34,9 @@ def test_every_library_row_names_attributes_of_its_module():
         for dotted in IDENTIFIER.findall(contents):
             target = module
             for part in dotted.split("."):
-                target = getattr(target, part, None)
+                # A dataclass field without a default is no class attribute.
+                fields = getattr(target, "__dataclass_fields__", {})
+                target = fields.get(part) or getattr(target, part, None)
             if target is None:
                 missing.append(f"{name}: {dotted}")
     assert not missing, missing

@@ -46,7 +46,7 @@ def run_json(*argv):
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
-@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("command", [*COMMANDS, "pi1"])
 def test_json_envelopes_match_the_golden_files(command, dataset):
     rc, text = run_json(command, dataset)
     assert rc == 0
@@ -146,6 +146,39 @@ def test_sources_use_no_floats():
             elif isinstance(node, ast.ImportFrom) and node.module == "math":
                 found += [f"{where}: from math import {alias.name}"
                           for alias in node.names if alias.name not in EXACT_MATH]
+    assert not found, found
+
+
+def _exported(tree) -> set:
+    """The names a module lists in its ``__all__``, where it is a literal."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return {elt.value for elt in node.value.elts
+                    if isinstance(elt, ast.Constant)}
+    return set()
+
+
+def test_sources_import_no_unused_name():
+    """Every name a module of the package imports is used in it or listed
+    in its ``__all__``."""
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    if alias.name != "*":
+                        imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= _exported(tree)
+        found += [f"{path.name}:{line}: {name}"
+                  for name, line in sorted(imported.items()) if name not in used]
     assert not found, found
 
 

@@ -3,23 +3,21 @@
 import dataclasses
 import itertools
 import random
-from fractions import Fraction
 from math import gcd
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import blowdown.topology as topology
 from blowdown import (
     Replay,
     blowdown_invariants,
     continuants,
-    fingerprint,
     hj_expand,
     meridian_powers,
     parse_graph,
     pi1_closure,
-    rationality_exclusion,
 )
 
 st_coprime = st.integers(2, 200).flatmap(
@@ -119,12 +117,11 @@ def test_pi1_closure_kills_main_graph(main_construction):
     result = pi1_closure(main_construction.graph)
     assert result.trivial
     assert all(order == 1 for _, order in result.orders)
-    first = result.steps[0]
-    assert first.source == "C(19,5)"
-    assert first.target == "C(35,6)"
-    assert first.old_order == 1225
-    assert first.new_order == 1
-    assert "361" in first.describe() and "1225" in first.describe()
+    assert result.steps[0] == (
+        "edge 1 (C(19,5) -> C(35,6)): meridian power 1 in C(19,5) (order 361) "
+        "generates a subgroup of order 361; order of C(35,6) drops from 1225 "
+        "to gcd(1225, 1 * 361) = 1"
+    )
     assert result.describe()[-1] == "fundamental group killed"
 
 
@@ -166,10 +163,11 @@ def test_reconstructed_graphs_are_flagged(
     assert not main_construction.graph.reconstructed
 
 
-def test_rationality_exclusion_values():
-    assert rationality_exclusion(3, 1) == (True, Fraction(4))
-    assert rationality_exclusion(4, 1) == (True, Fraction(5))
-    assert rationality_exclusion(-2, 1) == (False, Fraction(-1))
+def test_rationality_exclusion_values(main_construction):
+    model, chains = Replay(main_construction).model, main_construction.chains
+    for k_squared, plurigenus in ((3, 4), (4, 5), (-2, -1)):
+        summary = blowdown_invariants(model, chains, k_squared, None)
+        assert summary.second_plurigenus == plurigenus
 
 
 def test_blowdown_invariants_frozen(main_construction):
@@ -222,9 +220,9 @@ def test_closed_forms_match_the_lattice_on_every_chain_subset(request, dataset):
 
 def test_fingerprint_requires_trivial_pi1(main_construction):
     summary = Replay(main_construction).summary
-    assert fingerprint(summary) == "P2 # 6 P2bar"
+    assert summary.fingerprint == "P2 # 6 P2bar"
     silent = dataclasses.replace(summary, pi1_trivial=False)
-    assert fingerprint(silent) is None
+    assert silent.fingerprint is None
 
 
 def test_invariants_without_graph_leave_pi1_open(main_construction):
@@ -232,3 +230,14 @@ def test_invariants_without_graph_leave_pi1_open(main_construction):
     assert summary.k_squared == 3
     assert summary.pi1_trivial is None
     assert summary.fingerprint is None
+
+
+def test_topology_exports_only_what_its_readers_read():
+    assert sorted(topology.__all__) == sorted([
+        "GraphNode", "GraphEdge", "ConnectionGraph", "Pi1Result",
+        "pi1_closure", "SurfaceSummary", "blowdown_invariants",
+    ])
+    for name in ("ClosureStep", "fingerprint", "rationality_exclusion"):
+        with pytest.raises(ImportError):
+            exec(f"from blowdown import {name}", {})
+        assert not hasattr(topology, name)
